@@ -1,20 +1,21 @@
 """Conjugacy classes, eigenvalue flags and the trace/supertrace counts.
 
 The brute-force path enumerates classes as orbits under conjugation by
-the group generators and decides eigenvalue membership with exact
-determinants.  The closed-form path multiplies the per-factor formulas.
-Both are exposed through count(), and the theorem checker compares the
-equality case T = S against actual -identity membership.
+the group generators and reads eigenvalue membership off the exact
+characteristic polynomial of each class.  The closed-form path
+multiplies the per-factor formulas.  Both are exposed through count(),
+and the theorem checker compares the equality case T = S against actual
+-identity membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import ONE, FieldElement
+from .field import FieldElement
 from .group import (DEFAULT_BUDGET, HEAVY_THRESHOLD, Group, GroupElement,
                     contains_minus_identity, generate_group, shared_group)
-from .linalg import Matrix, poly_str
+from .linalg import poly_eval, poly_str
 from .partitions import TraceCount, closed_form_count
 from .roots import RootSystem, build_irreducible, parse_system_spec, system_from_spec
 
@@ -35,14 +36,11 @@ class ConjugacyClass:
         return poly_str(self.char_poly)
 
 
-def _eigen_flags(system: RootSystem, span_matrix: Matrix):
-    d = span_matrix.nrows
-    if d == 0:
-        plus = system.trivial_dims > 0
-        return plus, False
-    ident = Matrix.identity(d)
-    plus = (span_matrix - ident).det().is_zero or system.trivial_dims > 0
-    minus = (span_matrix + ident).det().is_zero
+def _eigen_flags(system: RootSystem, char_poly) -> tuple:
+    """(has +1, has -1) from det(tI - M) at t = 1 and t = -1; the
+    rootless directions of A0 factors add eigenvalue +1."""
+    plus = poly_eval(char_poly, 1).is_zero or system.trivial_dims > 0
+    minus = poly_eval(char_poly, -1).is_zero
     return plus, minus
 
 
@@ -51,61 +49,36 @@ def has_eigenvalue(g: GroupElement, value: int) -> bool:
     if value not in (1, -1):
         raise ValueError("only the eigenvalues +1 and -1 are tracked")
     group = g.group
-    plus, minus = _eigen_flags(group.system, group.span_matrix_of(g.index))
+    plus, minus = _eigen_flags(group.system,
+                               group.span_matrix_of(g.index).charpoly())
     return plus if value == 1 else minus
 
 
 def conjugacy_classes(group: Group, check_all_members: bool = False):
     """All conjugacy classes, ordered by minimal element id.
 
-    Each orbit is closed under conjugation by the generators alone (they
-    generate the group, and orbits of bijections on a finite set close
-    under inverses automatically).  With check_all_members the eigen
-    flags are recomputed for every member instead of the representative
-    only — a class-function sanity mode for small groups.
+    Eigen flags and determinant come from one characteristic polynomial
+    per class (det M = (-1)^d det(0I - M)).  With check_all_members the
+    eigen flags are recomputed for every member instead of the
+    representative only — a class-function sanity mode for small groups.
     """
-    perms = group.perms
-    index = group.index
-    gen_perms = [perms[i] for i in group.generator_ids]
-    use_bytes = bool(perms) and isinstance(perms[0], bytes)
-    if use_bytes:
-        gen_tables = [g.ljust(256, b"\x00") for g in gen_perms]
-    visited = bytearray(group.order)
+    system = group.system
     out = []
-    for seed in range(group.order):
-        if visited[seed]:
-            continue
-        visited[seed] = 1
-        members = [seed]
-        stack = [seed]
-        while stack:
-            x = perms[stack.pop()]
-            if use_bytes:
-                for g, t in zip(gen_perms, gen_tables):
-                    # generators are reflections, so g is its own inverse
-                    y = index[g.translate(x.translate(t).ljust(256, b"\x00"))]
-                    if not visited[y]:
-                        visited[y] = 1
-                        members.append(y)
-                        stack.append(y)
-            else:
-                for g in gen_perms:
-                    conj = tuple(g[x[g[i]]] for i in range(len(g)))
-                    y = index[conj]
-                    if not visited[y]:
-                        visited[y] = 1
-                        members.append(y)
-                        stack.append(y)
+    for members in group.class_orbits():
+        seed = members[0]
         span = group.span_matrix_of(seed)
-        plus, minus = _eigen_flags(group.system, span)
+        char_poly = span.charpoly()
+        plus, minus = _eigen_flags(system, char_poly)
         if check_all_members:
             for m in members:
-                flags = _eigen_flags(group.system, group.span_matrix_of(m))
+                flags = _eigen_flags(system,
+                                     group.span_matrix_of(m).charpoly())
                 if flags != (plus, minus):
                     raise RuntimeError(
                         f"eigen flags are not a class function at id {m}")
+        det = char_poly[0] if span.nrows % 2 == 0 else -char_poly[0]
         out.append(ConjugacyClass(GroupElement(group, seed), len(members),
-                                  span.det(), span.charpoly(), plus, minus))
+                                  det, char_poly, plus, minus))
     total = sum(c.size for c in out)
     if total != group.order:
         raise RuntimeError(f"classes cover {total} of {group.order} elements")

@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass
 
 from .classes import conjugacy_classes, count, count_brute_force
-from .group import (DEFAULT_BUDGET, BudgetExceededError, CacheFormatError,
-                    MatrixFreeSystemError, generate_group, load_group,
-                    save_group)
+from .group import (CACHE_VERSION, DEFAULT_BUDGET, BudgetExceededError,
+                    CacheFormatError, MatrixFreeSystemError, generate_group,
+                    load_group, save_group)
 from .partitions import closed_form_count
 from .roots import Factor, SpecParseError, system_from_spec
 from . import verify as verify_mod
@@ -116,6 +116,17 @@ def _cache_path(cache_dir: str, label: str) -> str:
     return os.path.join(cache_dir, f"{safe}.grp")
 
 
+def _load_or_generate(args, system, budget: int):
+    """The group from the cache directory if it holds one, else enumerated."""
+    cache_dir = _effective_cache_dir(args)
+    if cache_dir:
+        path = _cache_path(cache_dir, system.label)
+        if os.path.exists(path):
+            return load_group(path)
+    return generate_group(system, budget=budget, heavy=args.heavy,
+                          allow_e8=args.unsupported_e8_enumeration)
+
+
 def _minus_identity_of(system) -> bool:
     return all(f.contains_minus_identity for f in system.factors)
 
@@ -127,17 +138,8 @@ def cmd_count(args) -> int:
     budget = _effective_budget(args)
     system = system_from_spec(args.system)
     started = time.perf_counter()
-    group = None
     if args.strategy == "brute":
-        cache_dir = _effective_cache_dir(args)
-        if cache_dir:
-            path = _cache_path(cache_dir, system.label)
-            if os.path.exists(path):
-                group = load_group(path)
-        if group is None:
-            group = generate_group(system, budget=budget, heavy=args.heavy,
-                                   allow_e8=args.unsupported_e8_enumeration)
-        result = count_brute_force(group)
+        result = count_brute_force(_load_or_generate(args, system, budget))
     else:
         result = count(system, strategy=args.strategy, budget=budget,
                        heavy=args.heavy)
@@ -154,15 +156,7 @@ def cmd_classes(args) -> int:
     budget = _effective_budget(args)
     system = system_from_spec(args.system)
     started = time.perf_counter()
-    group = None
-    cache_dir = _effective_cache_dir(args)
-    if cache_dir:
-        path = _cache_path(cache_dir, system.label)
-        if os.path.exists(path):
-            group = load_group(path)
-    if group is None:
-        group = generate_group(system, budget=budget, heavy=args.heavy,
-                               allow_e8=args.unsupported_e8_enumeration)
+    group = _load_or_generate(args, system, budget)
     classes = conjugacy_classes(group)
     elapsed = time.perf_counter() - started
     header = ("class", "size", "det", "char_poly", "has_plus_one", "has_minus_one")
@@ -303,7 +297,7 @@ def cmd_cache(args) -> int:
             try:
                 group = load_group(path)
                 print(f"{group.system.label}  order={group.order}  "
-                      f"bytes={os.path.getsize(path)}  version=1")
+                      f"bytes={os.path.getsize(path)}  version={CACHE_VERSION}")
             except CacheFormatError as exc:
                 print(f"{name}  UNREADABLE ({exc})")
         return EXIT_OK

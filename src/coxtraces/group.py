@@ -1,9 +1,9 @@
 """Breadth-first generation of finite reflection groups.
 
-Elements are stored as permutations of the root list (bytes for up to
-256 roots, so composition is a single bytes.translate call).  Ids are
-dense and follow discovery order, which is deterministic: the BFS walks
-generators in simple-root order, layer by layer.
+Elements are stored as permutations of the root list, one byte per
+root (so at most 256 roots), and composition is a single bytes.translate
+call.  Ids are dense and follow discovery order, which is deterministic:
+the BFS walks generators in simple-root order, layer by layer.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .field import ONE, ZERO, FieldElement
+from .field import ONE, ZERO
 from .linalg import Matrix, solve_in_basis, vneg
 from .roots import RootSystem, reflect, root_permutation, system_from_spec
 
@@ -21,8 +21,10 @@ HEAVY_THRESHOLD = 1_000_000
 
 _E8_ORDER = 696_729_600
 
+_MAX_ROOTS = 256  # one byte per root
+
 _CACHE_MAGIC = b"CXGC"
-_CACHE_VERSION = 1
+CACHE_VERSION = 1
 
 
 class BudgetExceededError(RuntimeError):
@@ -146,24 +148,78 @@ class Group:
         perm = root_permutation(self.system, self.system.roots[root_index])
         return self.index[perm]
 
+    def class_orbits(self):
+        """Conjugacy classes as id lists: orbits under conjugation by the
+        generators, which generate the group and are their own inverses."""
+        gens = [(self.perms[i], _table(self.perms[i]))
+                for i in self.generator_ids]
+        return orbits(self.perms, self.index, gens, _conjugate)
 
-def _compose(p, q):
+
+# -- the one closure and orbit walk, for every element type of the package ---
+
+
+def closure(identity, gens, act):
+    """BFS closure of {identity} under x -> act(x, g) for g in gens:
+    the elements in discovery order and the element -> id map."""
+    elements = [identity]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    fresh.append(y)
+        frontier = fresh
+    return elements, index
+
+
+def orbits(elements, index, gens, act):
+    """Orbits of the bijections x -> act(x, g), as id lists ordered by
+    least id, each starting with its least id."""
+    visited = bytearray(len(elements))
+    out = []
+    for seed in range(len(elements)):
+        if visited[seed]:
+            continue
+        visited[seed] = 1
+        members = [seed]
+        stack = [seed]
+        while stack:
+            x = elements[stack.pop()]
+            for g in gens:
+                y = index[act(x, g)]
+                if not visited[y]:
+                    visited[y] = 1
+                    members.append(y)
+                    stack.append(y)
+        out.append(members)
+    return out
+
+
+def _table(p: bytes) -> bytes:
+    """p as a translate table: q.translate(_table(p)) is p after q."""
+    return p.ljust(256, b"\x00")
+
+
+def _compose(p: bytes, q: bytes) -> bytes:
     """p after q, i.e. (p o q)[i] = p[q[i]]."""
-    if isinstance(p, bytes):
-        return q.translate(p.ljust(256, b"\x00"))
-    return tuple(p[x] for x in q)
+    return q.translate(_table(p))
 
 
-def _invert(p):
-    if isinstance(p, bytes):
-        out = bytearray(len(p))
-        for i, x in enumerate(p):
-            out[x] = i
-        return bytes(out)
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
+def _invert(p: bytes) -> bytes:
+    # the table sending p[i] to i starts with the inverse of p
+    return bytes.maketrans(p, bytes(range(len(p))))[:len(p)]
+
+
+def _conjugate(x: bytes, g) -> bytes:
+    """g x g for g = (perm, its table), a reflection."""
+    perm, table = g
+    return perm.translate(x.translate(table).ljust(256, b"\x00"))
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -184,9 +240,15 @@ def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
                    heavy: bool = False, allow_e8: bool = False) -> Group:
     """Enumerate the reflection group of a vector-backed root system.
 
-    Refuses matrix-free systems, anything above the budget, and — unless
-    explicitly unlocked — W(E8) and orders past the heavy threshold.
+    Refuses systems with more than 256 roots, matrix-free systems,
+    anything above the budget, and — unless explicitly unlocked — W(E8)
+    and orders past the heavy threshold.
     """
+    n = len(system.roots)
+    if n > _MAX_ROOTS:
+        raise BudgetExceededError(
+            f"{system.label} has {n} roots; enumeration stores one byte per "
+            f"root, so it is limited to {_MAX_ROOTS} roots")
     if system.matrix_free:
         free = [f.label for f in system.factors if not f.has_matrix_model]
         raise MatrixFreeSystemError(
@@ -208,38 +270,11 @@ def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
             f"estimated order {estimate:,} of {system.label} exceeds "
             f"{HEAVY_THRESHOLD:,}; pass heavy=True (--heavy) to run it")
 
-    n = len(system.roots)
     gen_perms = [root_permutation(system, system.roots[i])
                  for i in system.simple_root_indices]
-    ident = bytes(range(n)) if n <= 256 else tuple(range(n))
-    perms = [ident]
-    index = {ident: 0}
-    if gen_perms:
-        if isinstance(ident, bytes):
-            tables = [g.ljust(256, b"\x00") for g in gen_perms]
-            frontier = [ident]
-            while frontier:
-                fresh = []
-                for p in frontier:
-                    for t in tables:
-                        q = p.translate(t)
-                        if q not in index:
-                            index[q] = len(perms)
-                            perms.append(q)
-                            fresh.append(q)
-                frontier = fresh
-        else:
-            frontier = [ident]
-            while frontier:
-                fresh = []
-                for p in frontier:
-                    for g in gen_perms:
-                        q = tuple(g[x] for x in p)
-                        if q not in index:
-                            index[q] = len(perms)
-                            perms.append(q)
-                            fresh.append(q)
-                frontier = fresh
+    # x.translate(_table(g)) is g after x
+    perms, index = closure(bytes(range(n)), [_table(g) for g in gen_perms],
+                           bytes.translate)
     if len(perms) != estimate:
         raise RuntimeError(
             f"generated {len(perms)} elements for {system.label}, "
@@ -254,9 +289,8 @@ def contains_minus_identity(group: Group) -> bool:
     if system.trivial_dims > 0:
         # directions with no roots are fixed pointwise by every element
         return False
-    neg = [system.root_index[vneg(r)] for r in system.roots]
-    perm = bytes(neg) if isinstance(group.perms[0], bytes) else tuple(neg)
-    return perm in group.index
+    neg = bytes(system.root_index[vneg(r)] for r in system.roots)
+    return neg in group.index
 
 
 # -- shared in-process cache ----------------------------------------------------
@@ -284,23 +318,18 @@ class CacheFormatError(ValueError):
 
 
 def save_group(group: Group, path) -> None:
-    """Write a versioned binary snapshot: header plus fixed-width perms."""
+    """Write a versioned binary snapshot: header plus byte permutations."""
     n = len(group.system.roots)
-    width = 1 if n <= 256 else (2 if n <= 65536 else 4)
     label = group.system.label.encode()
-    head = struct.pack("<4sBBH", _CACHE_MAGIC, _CACHE_VERSION, width, len(label))
+    # the header keeps its width byte, always 1
+    head = struct.pack("<4sBBH", _CACHE_MAGIC, CACHE_VERSION, 1, len(label))
     head += label
     head += struct.pack("<IQH", n, group.order, len(group.generator_ids))
     head += struct.pack(f"<{len(group.generator_ids)}I", *group.generator_ids)
     with open(path, "wb") as fh:
         fh.write(head)
-        if width == 1:
-            for p in group.perms:
-                fh.write(p if isinstance(p, bytes) else bytes(p))
-        else:
-            code = "H" if width == 2 else "I"
-            for p in group.perms:
-                fh.write(struct.pack(f"<{n}{code}", *p))
+        for p in group.perms:
+            fh.write(p)
 
 
 def load_group(path) -> Group:
@@ -311,9 +340,12 @@ def load_group(path) -> Group:
         magic, version, width, label_len = struct.unpack_from("<4sBBH", blob, 0)
         if magic != _CACHE_MAGIC:
             raise CacheFormatError(f"{path} is not a group cache file")
-        if version != _CACHE_VERSION:
+        if version != CACHE_VERSION:
             raise CacheFormatError(
-                f"{path} has cache version {version}, expected {_CACHE_VERSION}")
+                f"{path} has cache version {version}, expected {CACHE_VERSION}")
+        if width != 1:
+            raise CacheFormatError(
+                f"{path} stores {width} bytes per root, expected 1")
         offset = 8
         label = blob[offset:offset + label_len].decode()
         offset += label_len
@@ -325,16 +357,8 @@ def load_group(path) -> Group:
         if len(system.roots) != n:
             raise CacheFormatError(
                 f"{path}: root count {n} does not match the {label} model")
-        perms = []
-        if width == 1:
-            for k in range(order):
-                perms.append(blob[offset + k * n:offset + (k + 1) * n])
-        else:
-            code = "H" if width == 2 else "I"
-            step = n * width
-            for k in range(order):
-                perms.append(struct.unpack_from(f"<{n}{code}", blob,
-                                                offset + k * step))
+        perms = [blob[offset + k * n:offset + (k + 1) * n]
+                 for k in range(order)]
         if len(perms) != order or (order and len(perms[-1]) != n):
             raise CacheFormatError(f"{path}: truncated permutation payload")
     except struct.error as exc:

@@ -47,10 +47,6 @@ def vscale(c, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 # -- matrices ----------------------------------------------------------------
 
 
@@ -114,9 +110,6 @@ class Matrix:
             base = base * base
             k >>= 1
         return result
-
-    def matvec(self, v: Vector) -> Vector:
-        return tuple(dot(row, v) for row in self.rows)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .classes import conjugacy_classes
 from .field import GOLDEN, ONE, ZERO, FieldElement
-from .group import shared_group
+from .group import closure, orbits, shared_group
 from .linalg import Matrix, poly_mul, poly_neg
 from .roots import build_irreducible, parse_factor
 
@@ -152,47 +152,6 @@ def build_h3_generators() -> H3Generators:
     return H3Generators(a, b, c)
 
 
-def _matrix_group(generators):
-    """BFS closure of a list of exact matrices under multiplication."""
-    ident = Matrix.identity(generators[0].nrows)
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for m in frontier:
-            for g in generators:
-                q = g * m
-                if q not in index:
-                    index[q] = len(elements)
-                    elements.append(q)
-                    fresh.append(q)
-        frontier = fresh
-    return elements, index
-
-
-def _matrix_classes(elements, index, generators):
-    """Conjugacy classes by generator conjugation (generators are involutions)."""
-    visited = bytearray(len(elements))
-    classes = []
-    for seed in range(len(elements)):
-        if visited[seed]:
-            continue
-        visited[seed] = 1
-        members = [seed]
-        stack = [seed]
-        while stack:
-            m = elements[stack.pop()]
-            for g in generators:
-                y = index[g * m * g]
-                if not visited[y]:
-                    visited[y] = 1
-                    members.append(y)
-                    stack.append(y)
-        classes.append(members)
-    return classes
-
-
 @dataclass
 class H3TableVerdict:
     ok: bool
@@ -242,10 +201,11 @@ def h3_charpoly_table_check() -> H3TableVerdict:
         if not (m - ident).det().is_zero:
             problems.append(f"{name} unexpectedly has no eigenvalue +1")
 
-    elements, index = _matrix_group([a, b, c])
+    elements, index = closure(ident, [a, b, c], lambda m, g: g * m)
     if len(elements) != 120:
         problems.append(f"group order {len(elements)}, expected 120")
-    classes = _matrix_classes(elements, index, [a, b, c])
+    # the generators are involutions, so g m g is conjugation by g
+    classes = orbits(elements, index, [a, b, c], lambda m, g: g * m * g)
     class_count = len(classes)
     if class_count != 10:
         problems.append(f"{class_count} classes, expected 10")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .group import orbits
 from .roots import Factor
 
 _BN_ENUM_BUDGET = 40
@@ -378,27 +379,20 @@ class DihedralClassSummary:
 def dihedral_classes(n: int) -> DihedralClassSummary:
     """Conjugacy classes of the dihedral group of the n-gon, by enumeration.
 
-    Classes are computed honestly (orbits under conjugation by all 2n
-    elements), not from the known answer, so this doubles as an oracle
-    for the closed forms floor(n/2) and floor((n+1)/2).
+    Classes are computed honestly (orbits of the explicit element list
+    under conjugation by the two generating reflections), not from the
+    known answer, so this doubles as an oracle for the closed forms
+    floor(n/2) and floor((n+1)/2).
     """
     if n < 3:
         raise ValueError(f"dihedral model needs n >= 3, got {n}")
     elements = [("s", k) for k in range(n)] + [("r", k) for k in range(n)]
-    inverse = {}
-    for x in elements:
-        kind, k = x
-        inverse[x] = x if kind == "r" else ("s", (-k) % n)
-    seen = set()
-    classes = []
-    for x in elements:
-        if x in seen:
-            continue
-        orbit = {dihedral_mul(dihedral_mul(g, x, n), inverse[g], n)
-                 for g in elements}
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
-    classes.sort()
+    index = {x: i for i, x in enumerate(elements)}
+    # reflections are involutions, so g x g is conjugation by g
+    orbit_ids = orbits(elements, index, [("r", 0), ("r", 1)],
+                       lambda x, g: dihedral_mul(dihedral_mul(g, x, n), g, n))
+    classes = sorted(tuple(sorted(elements[i] for i in ids))
+                     for ids in orbit_ids)
     traces = 0
     supertraces = 0
     rotation_classes = 0

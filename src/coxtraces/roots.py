@@ -28,7 +28,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .field import GOLDEN, HALF, ONE, ZERO, FieldElement
@@ -504,19 +503,8 @@ def _collinear(r: Vector, s: Vector) -> bool:
     return True
 
 
-def root_permutation(system: RootSystem, v: Vector):
-    """Permutation of root indices induced by the reflection in v.
-
-    Returned as bytes when there are at most 256 roots (fast composition
-    via bytes.translate) and as a tuple of ints otherwise.
-    """
+def root_permutation(system: RootSystem, v: Vector) -> bytes:
+    """Permutation of root indices induced by the reflection in v, one
+    byte per root (the element format of coxtraces.group)."""
     index = system.root_index
-    images = [index[reflect(r, v)] for r in system.roots]
-    if len(system.roots) <= 256:
-        return bytes(images)
-    return tuple(images)
-
-
-@lru_cache(maxsize=None)
-def _cached_irreducible(factor: Factor) -> RootSystem:
-    return build_irreducible(factor)
+    return bytes(index[reflect(r, v)] for r in system.roots)

@@ -72,6 +72,14 @@ def test_e8_brute_force_is_refused(capsys):
     assert "E8" in err
 
 
+def test_more_than_256_roots_is_refused_at_once(capsys):
+    # |W| is about 1e10; the refusal must come before any enumeration
+    code, _, err = _run(capsys, "count", "H4+B3+H4", "--strategy", "brute",
+                        "--budget", "100000000000", "--heavy")
+    assert code == 3
+    assert "258 roots" in err
+
+
 def test_matrix_free_brute_force_is_refused(capsys):
     code, _, err = _run(capsys, "count", "I2(7)", "--strategy", "brute")
     assert code == 3
@@ -193,6 +201,13 @@ def test_corrupt_cache_is_an_io_error(capsys, tmp_path):
                         "--cache-dir", str(cache))
     assert code == 4
     assert "error:" in err
+    # a well-formed header whose root width byte is not 1
+    _run(capsys, "cache", "warm", "A2", "--cache-dir", str(cache))
+    raw = (cache / "A2.grp").read_bytes()
+    (cache / "A2.grp").write_bytes(raw[:5] + b"\x02" + raw[6:])
+    code, _, err = _run(capsys, "classes", "A2", "--cache-dir", str(cache))
+    assert code == 4
+    assert "bytes per root" in err
 
 
 def test_unwritable_cache_dir_is_an_io_error(capsys, tmp_path):

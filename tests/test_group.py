@@ -52,6 +52,11 @@ def test_heavy_groups_need_the_flag():
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         generate_group(system_from_spec("B3"), budget=10)
+    # 258 roots do not fit the one-byte-per-root element format; the
+    # refusal comes before any enumeration, whatever the budget
+    with pytest.raises(BudgetExceededError, match="258 roots"):
+        generate_group(system_from_spec("H4+B3+H4"), budget=10 ** 11,
+                       heavy=True)
 
 
 def test_e8_is_refused_even_with_heavy_and_budget():
@@ -169,6 +174,27 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_bytes(raw[:20])
     with pytest.raises(CacheFormatError):
         load_group(path)
+    # byte 5 is the width of a stored root index, which is always 1
+    path.write_bytes(raw[:5] + b"\x02" + raw[6:])
+    with pytest.raises(CacheFormatError):
+        load_group(path)
+
+
+# A2 as saved when the format still had 2- and 4-byte widths; the header
+# layout is unchanged, so such files still load
+_A2_CACHE_V1 = bytes.fromhex(
+    "43584743010102004132060000000600000000000000020001000000020000000001"
+    "02030405010003020504020400050103040205000301030501040002050304010200")
+
+
+def test_cache_written_by_version_1_loads(tmp_path):
+    path = tmp_path / "a2.grp"
+    path.write_bytes(_A2_CACHE_V1)
+    loaded = load_group(path)
+    fresh = generate_group(system_from_spec("A2"))
+    assert loaded.system.label == "A2"
+    assert list(loaded.perms) == list(fresh.perms)
+    assert loaded.generator_ids == fresh.generator_ids
 
 
 def test_shared_group_memoizes():
