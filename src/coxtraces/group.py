@@ -357,10 +357,18 @@ def load_group(path) -> Group:
         if len(system.roots) != n:
             raise CacheFormatError(
                 f"{path}: root count {n} does not match the {label} model")
+        if order != system.known_order:
+            raise CacheFormatError(
+                f"{path}: order {order} does not match |W({label})| = "
+                f"{system.known_order}")
+        if len(blob) - offset != order * n:
+            raise CacheFormatError(
+                f"{path}: payload has {len(blob) - offset} bytes, expected "
+                f"{order} x {n}")
+        if any(g >= order for g in generator_ids):
+            raise CacheFormatError(f"{path}: generator id out of range")
         perms = [blob[offset + k * n:offset + (k + 1) * n]
                  for k in range(order)]
-        if len(perms) != order or (order and len(perms[-1]) != n):
-            raise CacheFormatError(f"{path}: truncated permutation payload")
     except struct.error as exc:
         raise CacheFormatError(f"{path}: truncated header ({exc})") from exc
     index = {p: i for i, p in enumerate(perms)}

@@ -2,12 +2,15 @@
 
 Vectors are plain tuples of FieldElement; matrices are immutable
 row-tuples.  Everything here is exact: determinants come from fraction
-Gaussian elimination and characteristic polynomials from interpolation
-at small integer points.
+Gaussian elimination, and characteristic polynomials from the
+division-free Berkowitz algorithm over the integers Z[phi] after
+clearing denominators.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .field import ONE, ZERO, FieldElement
@@ -179,26 +182,72 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        if n == 0:
-            return (ONE,)
-        points = _interpolation_points(n + 1)
-        values = []
-        for t in points:
-            shifted = Matrix.identity(n).scale(FieldElement(t)) - self
-            values.append(shifted.det())
-        return lagrange_interpolate(points, values)
+        xs, ys, d = _to_zphi(self.rows)
+        coeffs = []
+        scale = 2
+        for x, y in _berkowitz(xs, ys):
+            # x + y*phi = (2x + y)/2 + (y/2)*sqrt5, and c_k of D*M is D^k c_k
+            coeffs.append(FieldElement(Fraction(2 * x + y, scale),
+                                       Fraction(y, scale)))
+            scale *= d
+        return tuple(reversed(coeffs))
 
 
-def _interpolation_points(count: int):
-    """0, 1, -1, 2, -2, ... as plain integers."""
-    points = [0]
-    k = 1
-    while len(points) < count:
-        points.append(k)
-        if len(points) < count:
-            points.append(-k)
-        k += 1
-    return points[:count]
+def _to_zphi(rows):
+    """Clear a common denominator D of the entries a + b*sqrt5 and write
+    each one of D*M as x + y*phi over the integers (sqrt5 = 2*phi - 1):
+    x = D*(a - b), y = 2*D*b.  Returns the x and y matrices and D."""
+    d = lcm(*(q for row in rows for e in row
+              for q in (e.a.denominator, e.b.denominator)))
+    xs, ys = [], []
+    for row in rows:
+        xrow, yrow = [], []
+        for e in row:
+            a = e.a.numerator * (d // e.a.denominator)
+            b = e.b.numerator * (d // e.b.denominator)
+            xrow.append(a - b)
+            yrow.append(2 * b)
+        xs.append(xrow)
+        ys.append(yrow)
+    return xs, ys, d
+
+
+def _berkowitz(xs, ys):
+    """Coefficients of det(tI - M), descending in t, for M = X + Y*phi
+    with integer X, Y: the division-free Berkowitz recurrence in Z[phi].
+
+    Growing the leading block A_r by row R, column S and corner a, the
+    polynomial of A_{r+1} is the Toeplitz product of
+    (1, -a, -R.S, -R.A_r.S, ..., -R.A_r^(r-1).S) with that of A_r.
+    """
+    px, py = [1], [0]
+    for r in range(len(xs)):
+        col_x, col_y = [1, -xs[r][r]], [0, -ys[r][r]]
+        vx = [xs[i][r] for i in range(r)]
+        vy = [ys[i][r] for i in range(r)]
+        for k in range(r):
+            if k:
+                # v <- A_r v; rows of A_r are cut to length r by zip
+                vx, vy = zip(*[_zphi_dot(xs[i], ys[i], vx, vy)
+                               for i in range(r)])
+            sx, sy = _zphi_dot(xs[r], ys[r], vx, vy)
+            col_x.append(-sx)
+            col_y.append(-sy)
+        px, py = zip(*[_zphi_dot(col_x[i::-1], col_y[i::-1], px, py)
+                       for i in range(r + 2)])
+    return list(zip(px, py))
+
+
+def _zphi_dot(ax, ay, bx, by):
+    """sum_j (ax[j] + ay[j]*phi)(bx[j] + by[j]*phi) as an integer pair,
+    over the shorter length; phi^2 = phi + 1."""
+    sx = sy = 0
+    for p, q, u, w in zip(ax, ay, bx, by):
+        if u or w:
+            qw = q * w
+            sx += p * u + qw
+            sy += p * w + q * u + qw
+    return sx, sy
 
 
 # -- polynomials (ascending coefficient tuples) ------------------------------

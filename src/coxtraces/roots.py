@@ -356,7 +356,9 @@ class RootSystem:
 
         A positive root is simple exactly when its reflection permutes
         the remaining positive roots; this characterization is valid for
-        every finite reflection group, crystallographic or not.
+        every finite reflection group, crystallographic or not.  Roots
+        orthogonal to the candidate are fixed by its reflection, so only
+        the others are reflected.
         """
         if self._simple is None:
             positive = [i for i, r in enumerate(self.roots) if _is_positive(r)]
@@ -364,8 +366,15 @@ class RootSystem:
             simple = []
             for i in positive:
                 v = self.roots[i]
-                if all(reflect(self.roots[j], v) in pos_set
-                       for j in positive if j != i):
+                two_over_norm = 2 / dot(v, v)
+                for j in positive:
+                    w = self.roots[j]
+                    d = dot(w, v)
+                    if j == i or d.is_zero:
+                        continue
+                    if vsub(w, vscale(d * two_over_norm, v)) not in pos_set:
+                        break
+                else:
                     simple.append(i)
             if len(simple) != self.rank:
                 raise RuntimeError(

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
 from coxtraces.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(capsys, *argv):
@@ -115,6 +119,17 @@ def test_classes_report(capsys):
     assert len(no_plus) == 3
 
 
+@pytest.mark.parametrize("spec, fmt, golden", [
+    ("H3", "json", "classes_H3.json"),
+    ("B3", "markdown", "classes_B3.md"),
+])
+def test_class_report_matches_golden_text(capsys, spec, fmt, golden):
+    # det and char_poly of every class, byte for byte
+    code, out, _ = _run(capsys, "classes", spec, "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_table_json_fixture(capsys):
     code, out, _ = _run(capsys, "table", "all", "--format", "json")
     assert code == 0
@@ -208,6 +223,12 @@ def test_corrupt_cache_is_an_io_error(capsys, tmp_path):
     code, _, err = _run(capsys, "classes", "A2", "--cache-dir", str(cache))
     assert code == 4
     assert "bytes per root" in err
+    # a header whose order field is not |W(A2)| = 6
+    (cache / "A2.grp").write_bytes(raw[:14] + struct.pack("<Q", 3) + raw[22:])
+    code, _, err = _run(capsys, "count", "A2", "--strategy", "brute",
+                        "--cache-dir", str(cache))
+    assert code == 4
+    assert "does not match" in err
 
 
 def test_unwritable_cache_dir_is_an_io_error(capsys, tmp_path):

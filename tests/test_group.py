@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
@@ -178,6 +179,15 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_bytes(raw[:5] + b"\x02" + raw[6:])
     with pytest.raises(CacheFormatError):
         load_group(path)
+    # after the 8-byte header and the label "A2": root count (4 bytes),
+    # order (8), generator count (2), then one 4-byte id per generator
+    for bad in (raw[:14] + struct.pack("<Q", 3) + raw[22:],   # order != |W|
+                raw[:-1],                                    # short payload
+                raw + b"\x00",                               # long payload
+                raw[:24] + struct.pack("<I", 6) + raw[28:]):  # id >= order
+        path.write_bytes(bad)
+        with pytest.raises(CacheFormatError):
+            load_group(path)
 
 
 # A2 as saved when the format still had 2- and 4-byte widths; the header

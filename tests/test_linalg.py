@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coxtraces.field import GOLDEN, ONE, ZERO, FieldElement
+from coxtraces.group import generate_group
 from coxtraces.linalg import (Matrix, dot, lagrange_interpolate, poly_eval,
                               poly_mul, poly_str, solve_in_basis, span_rank)
+from coxtraces.roots import system_from_spec
 
 
 def _f(n, d=1):
@@ -25,6 +27,28 @@ small_ints = st.integers(min_value=-4, max_value=4)
 int_matrices_3 = st.lists(
     st.lists(small_ints, min_size=3, max_size=3), min_size=3, max_size=3
 ).map(_int_matrix)
+
+# a + b*sqrt5 with a, b over the denominators 1, 2, 3 and 6
+small_fractions = st.builds(Fraction, st.integers(min_value=-5, max_value=5),
+                            st.sampled_from([1, 2, 3, 6]))
+field_elements = st.builds(FieldElement, small_fractions, small_fractions)
+
+
+@st.composite
+def field_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    return Matrix(tuple(tuple(draw(field_elements) for _ in range(n))
+                        for _ in range(n)))
+
+
+def _interpolated_charpoly(m):
+    """det(tI - M) from n + 1 determinants at t = 0, 1, -1, 2, -2, ...
+    and Lagrange interpolation: an independent oracle for charpoly()."""
+    n = m.nrows
+    points = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(n + 1)]
+    values = [(Matrix.identity(n).scale(FieldElement(t)) - m).det()
+              for t in points]
+    return lagrange_interpolate(points, values)
 
 
 def test_dot_and_dimension_mismatch():
@@ -74,6 +98,19 @@ def test_charpoly_constant_term_is_signed_det(m):
     assert coeffs[0] == -m.det()   # det(tI-M) at t=0 is (-1)^3 det(M)
     assert coeffs[3] == ONE
     assert coeffs[2] == -m.trace()
+
+
+@given(field_matrices())
+def test_charpoly_equals_the_interpolation_oracle(m):
+    assert m.charpoly() == _interpolated_charpoly(m)
+
+
+@pytest.mark.parametrize("spec", ["H3", "F4", "B2+I2(5)"])
+def test_class_span_matrices_match_the_interpolation_oracle(spec):
+    group = generate_group(system_from_spec(spec))
+    for members in group.class_orbits():
+        span = group.span_matrix_of(members[0])
+        assert span.charpoly() == _interpolated_charpoly(span)
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6))
