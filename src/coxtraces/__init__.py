@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .field import GOLDEN, HALF, ONE, SQRT5, ZERO, FieldElement
 from .linalg import Matrix, dot, lagrange_interpolate, poly_eval, poly_mul, poly_str
-from .roots import (Factor, RootSystem, SpecParseError, ValidationReport,
-                    build_irreducible, build_system, parse_factor,
-                    parse_system_spec, system_from_spec, validate_root_system)
+from .roots import (Factor, RootSystem, SpecParseError, build_irreducible,
+                    build_system, cartan_matrix, parse_factor,
+                    parse_system_spec, system_from_spec)
 from .group import (DEFAULT_BUDGET, HEAVY_THRESHOLD, BudgetExceededError,
                     CacheFormatError, Group, GroupElement,
                     MatrixFreeSystemError, generate_group, load_group,
@@ -45,9 +45,9 @@ __all__ = [
     "FieldElement", "ZERO", "ONE", "HALF", "SQRT5", "GOLDEN",
     "Matrix", "dot", "lagrange_interpolate", "poly_eval", "poly_mul",
     "poly_str",
-    "Factor", "RootSystem", "SpecParseError", "ValidationReport",
-    "build_irreducible", "build_system", "parse_factor", "parse_system_spec",
-    "system_from_spec", "validate_root_system",
+    "Factor", "RootSystem", "SpecParseError", "build_irreducible",
+    "build_system", "cartan_matrix", "parse_factor", "parse_system_spec",
+    "system_from_spec",
     "Group", "GroupElement", "BudgetExceededError", "CacheFormatError",
     "MatrixFreeSystemError", "DEFAULT_BUDGET", "HEAVY_THRESHOLD",
     "generate_group", "shared_group", "save_group", "load_group",

@@ -3,8 +3,9 @@
 The brute-force path enumerates classes as orbits under conjugation by
 the group generators and reads eigenvalue membership off the exact
 characteristic polynomial of each class.  The closed-form path
-multiplies the per-factor formulas.  Both are exposed through count(),
-and the theorem checker compares the equality case T = S against actual
+multiplies the per-factor formulas and works on parsed Factors only:
+it never builds a root system.  Both are exposed through count(), and
+the theorem checker compares the equality case T = S against actual
 -identity membership.
 """
 
@@ -14,10 +15,12 @@ from dataclasses import dataclass
 
 from .field import FieldElement
 from .group import (DEFAULT_BUDGET, HEAVY_THRESHOLD, Group, GroupElement,
-                    contains_minus_identity, generate_group, shared_group)
+                    check_enumerable, contains_minus_identity, generate_group,
+                    shared_group)
 from .linalg import poly_eval, poly_str
 from .partitions import TraceCount, closed_form_count
-from .roots import RootSystem, build_irreducible, parse_system_spec, system_from_spec
+from .roots import (RootSystem, build_irreducible, build_system,
+                    parse_system_spec, system_label)
 
 
 @dataclass
@@ -97,31 +100,39 @@ def count_brute_force(group: Group) -> TraceCount:
     return TraceCount(traces, supertraces, "brute_force")
 
 
-def _as_system(system_or_spec) -> RootSystem:
+def _factors_of(system_or_spec) -> tuple:
+    """The Factors of a RootSystem, a spec string or a sequence of Factors."""
     if isinstance(system_or_spec, RootSystem):
-        return system_or_spec
-    return system_from_spec(system_or_spec)
+        return system_or_spec.factors
+    if isinstance(system_or_spec, str):
+        return parse_system_spec(system_or_spec)
+    return tuple(system_or_spec)
 
 
 def count(system_or_spec, strategy: str = "auto",
           budget: int = DEFAULT_BUDGET, heavy: bool = False) -> TraceCount:
-    """Count traces and supertraces for a (possibly composite) system.
+    """Count traces and supertraces for a (possibly composite) system: a
+    RootSystem, a spec string or a sequence of Factors.
 
     strategy 'closed' (and 'auto', which prefers it — every supported
     factor has a closed form) multiplies the per-factor formulas;
-    'brute' enumerates the classes of the full direct-sum group.
+    'brute' enumerates the classes of the full direct-sum group, and
+    builds its roots only once check_enumerable has let it through.
     """
-    system = _as_system(system_or_spec)
     if strategy not in ("auto", "closed", "brute"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    factors = _factors_of(system_or_spec)
     if strategy == "brute":
-        group = generate_group(system, budget=budget, heavy=heavy)
-        return count_brute_force(group)
+        if not isinstance(system_or_spec, RootSystem):
+            check_enumerable(factors, budget, heavy)
+            system_or_spec = build_system(factors)
+        return count_brute_force(generate_group(system_or_spec, budget=budget,
+                                                heavy=heavy))
     result = None
-    for factor in system.factors:
+    for factor in factors:
         step = closed_form_count(factor)
         result = step if result is None else result * step
-    if len(system.factors) > 1:
+    if len(factors) > 1:
         return TraceCount(result.traces, result.supertraces, "composed")
     return result
 
@@ -156,14 +167,14 @@ def verify_inequality_theorem(system_or_spec, budget: int = DEFAULT_BUDGET,
     -identity membership is established by actually enumerating the
     factor group whenever a vector model exists within the enumeration
     allowance; only factors beyond it fall back to the classification
-    table.
+    table.  The composite system's roots are never built.
     """
-    system = _as_system(system_or_spec)
-    counts = count(system, strategy="closed", budget=budget, heavy=heavy)
+    factors = _factors_of(system_or_spec)
+    counts = count(factors, strategy="closed")
     limit = budget if heavy else min(budget, HEAVY_THRESHOLD)
     factor_results = []
     minus = True
-    for factor in system.factors:
+    for factor in factors:
         if factor.has_matrix_model and factor.order <= limit:
             group = shared_group(build_irreducible(factor), budget=budget,
                                  heavy=heavy)
@@ -177,7 +188,7 @@ def verify_inequality_theorem(system_or_spec, budget: int = DEFAULT_BUDGET,
         minus = minus and present
     t, s = counts.pair()
     return InequalityVerdict(
-        label=system.label,
+        label=system_label(factors),
         traces=t,
         supertraces=s,
         minus_identity=minus,

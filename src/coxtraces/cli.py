@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 from .classes import conjugacy_classes, count, count_brute_force
 from .group import (CACHE_VERSION, DEFAULT_BUDGET, BudgetExceededError,
-                    CacheFormatError, MatrixFreeSystemError, generate_group,
-                    load_group, save_group)
+                    CacheFormatError, MatrixFreeSystemError, check_enumerable,
+                    generate_group, load_group, save_group)
 from .partitions import closed_form_count
-from .roots import Factor, SpecParseError, system_from_spec
+from .roots import (Factor, SpecParseError, build_irreducible, build_system,
+                    parse_system_spec, system_label, system_order)
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -116,19 +117,28 @@ def _cache_path(cache_dir: str, label: str) -> str:
     return os.path.join(cache_dir, f"{safe}.grp")
 
 
-def _load_or_generate(args, system, budget: int):
-    """The group from the cache directory if it holds one, else enumerated."""
-    cache_dir = _effective_cache_dir(args)
-    if cache_dir:
-        path = _cache_path(cache_dir, system.label)
-        if os.path.exists(path):
-            return load_group(path)
-    return generate_group(system, budget=budget, heavy=args.heavy,
+def _generate(args, factors, budget: int):
+    """Enumerate the group; the refusals come before any root is built."""
+    check_enumerable(factors, budget, args.heavy,
+                     args.unsupported_e8_enumeration)
+    return generate_group(build_system(factors), budget=budget,
+                          heavy=args.heavy,
                           allow_e8=args.unsupported_e8_enumeration)
 
 
-def _minus_identity_of(system) -> bool:
-    return all(f.contains_minus_identity for f in system.factors)
+def _load_or_generate(args, factors, budget: int):
+    """The group from the cache directory if it holds one, else enumerated."""
+    cache_dir = _effective_cache_dir(args)
+    label = system_label(factors)
+    if cache_dir:
+        path = _cache_path(cache_dir, label)
+        if os.path.exists(path):
+            group = load_group(path)
+            if group.system.label != label:
+                raise CacheFormatError(
+                    f"{path} holds {group.system.label}, not {label}")
+            return group
+    return _generate(args, factors, budget)
 
 
 # -- commands ----------------------------------------------------------------
@@ -136,17 +146,16 @@ def _minus_identity_of(system) -> bool:
 
 def cmd_count(args) -> int:
     budget = _effective_budget(args)
-    system = system_from_spec(args.system)
+    factors = parse_system_spec(args.system)
     started = time.perf_counter()
     if args.strategy == "brute":
-        result = count_brute_force(_load_or_generate(args, system, budget))
+        result = count_brute_force(_load_or_generate(args, factors, budget))
     else:
-        result = count(system, strategy=args.strategy, budget=budget,
-                       heavy=args.heavy)
+        result = count(factors, strategy=args.strategy)
     elapsed = time.perf_counter() - started
-    row = ReportRow(system.label, result.traces, result.supertraces,
-                    result.method, system.known_order,
-                    _minus_identity_of(system))
+    row = ReportRow(system_label(factors), result.traces, result.supertraces,
+                    result.method, system_order(factors),
+                    all(f.contains_minus_identity for f in factors))
     _print_rows([row.cells()], args.format, _COLUMNS, row.as_dict())
     print(f"computed in {elapsed:.3f}s", file=sys.stderr)
     return EXIT_OK
@@ -154,9 +163,9 @@ def cmd_count(args) -> int:
 
 def cmd_classes(args) -> int:
     budget = _effective_budget(args)
-    system = system_from_spec(args.system)
+    factors = parse_system_spec(args.system)
     started = time.perf_counter()
-    group = _load_or_generate(args, system, budget)
+    group = _load_or_generate(args, factors, budget)
     classes = conjugacy_classes(group)
     elapsed = time.perf_counter() - started
     header = ("class", "size", "det", "char_poly", "has_plus_one", "has_minus_one")
@@ -174,7 +183,7 @@ def cmd_classes(args) -> int:
                         "has_plus_one": cls.has_plus_one,
                         "has_minus_one": cls.has_minus_one})
     _print_rows(rows, args.format,
-                header, {"system": system.label, "classes": payload})
+                header, {"system": group.system.label, "classes": payload})
     print(f"{group.order} elements, {len(classes)} classes in {elapsed:.3f}s",
           file=sys.stderr)
     return EXIT_OK
@@ -204,7 +213,6 @@ def _table_row(factor: Factor, budget: int) -> ReportRow:
     method = "closed_form"
     if factor.has_matrix_model and factor.order <= min(_TABLE_CROSSCHECK_CAP,
                                                        budget):
-        from .roots import build_irreducible
         brute = count_brute_force(generate_group(build_irreducible(factor),
                                                  budget=budget))
         if brute.pair() != result.pair():  # cannot happen; belt and braces
@@ -275,14 +283,12 @@ def cmd_cache(args) -> int:
         if not args.system:
             print("cache warm needs a system spec", file=sys.stderr)
             return EXIT_USAGE
-        budget = _effective_budget(args)
-        system = system_from_spec(args.system)
-        group = generate_group(system, budget=budget, heavy=args.heavy,
-                               allow_e8=args.unsupported_e8_enumeration)
+        group = _generate(args, parse_system_spec(args.system),
+                          _effective_budget(args))
         os.makedirs(cache_dir, exist_ok=True)
-        path = _cache_path(cache_dir, system.label)
+        path = _cache_path(cache_dir, group.system.label)
         save_group(group, path)
-        print(f"cached {system.label}: {group.order} elements -> {path}")
+        print(f"cached {group.system.label}: {group.order} elements -> {path}")
         return EXIT_OK
     if args.action == "list":
         if not os.path.isdir(cache_dir):
@@ -375,6 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # |W(A2000)| = 2001! has more digits than Python prints by default
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except SpecParseError as exc:

@@ -2,18 +2,27 @@
 
 Elements are stored as permutations of the root list, one byte per
 root (so at most 256 roots), and composition is a single bytes.translate
-call.  Ids are dense and follow discovery order, which is deterministic:
-the BFS walks generators in simple-root order, layer by layer.
+call.  The generators are the simple reflections, whose permutations
+the root system computes from its Cartan matrix.  Ids are dense and
+follow discovery order, which is deterministic: the BFS walks the
+generators in simple-root order, layer by layer.
+
+Roots are coordinate vectors in the simple basis, so the matrix of an
+element on the span of the roots has the images of the simple roots as
+its columns; no other matrix model exists.  Whether a system can be
+enumerated at all is decided from the factor formulas (check_enumerable)
+before any root is built.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
-from .field import ONE, ZERO
-from .linalg import Matrix, solve_in_basis, vneg
-from .roots import RootSystem, reflect, root_permutation, system_from_spec
+from .linalg import Matrix, vneg
+from .roots import (RootSystem, closure, orbits, parse_system_spec,
+                    system_from_spec, system_label, system_order)
 
 DEFAULT_BUDGET = 10_000_000
 # enumerations past this order (W(E7), D8, A9, ...) must be asked for explicitly
@@ -24,7 +33,7 @@ _E8_ORDER = 696_729_600
 _MAX_ROOTS = 256  # one byte per root
 
 _CACHE_MAGIC = b"CXGC"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class BudgetExceededError(RuntimeError):
@@ -42,19 +51,8 @@ class GroupElement:
     group: "Group"
     index: int
 
-    @property
-    def perm(self):
-        return self.group.perms[self.index]
-
     def matrix(self) -> Matrix:
-        return self.group.matrix_of(self.index)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupElement)
-                and self.group is other.group and self.index == other.index)
-
-    def __hash__(self):
-        return hash((id(self.group), self.index))
+        return self.group.span_matrix_of(self.index)
 
     def __repr__(self):
         return f"GroupElement({self.group.system.label}, {self.index})"
@@ -69,7 +67,6 @@ class Group:
         self.index = index
         self.generator_ids = tuple(generator_ids)
         self.order = len(perms)
-        self._basis_data = None
 
     # -- elements ---------------------------------------------------------
 
@@ -103,50 +100,18 @@ class Group:
 
     # -- matrices ------------------------------------------------------------
 
-    def _basis(self):
-        """Simple-root basis data: coordinates of every root, lazily."""
-        if self._basis_data is None:
-            system = self.system
-            basis_ids = system.simple_root_indices
-            basis = [system.roots[i] for i in basis_ids]
-            coords = solve_in_basis(basis, list(system.roots)) if basis else []
-            full_rank = len(basis) == system.dimension
-            basis_inverse = None
-            if full_rank and basis:
-                # columns of the inverse of [basis as columns]
-                unit = [tuple(ONE if k == i else ZERO for k in range(system.dimension))
-                        for i in range(system.dimension)]
-                basis_inverse = Matrix.from_columns(solve_in_basis(basis, unit))
-            self._basis_data = (basis_ids, coords, full_rank, basis_inverse)
-        return self._basis_data
-
     def span_matrix_of(self, i: int) -> Matrix:
-        """Matrix of element i on the span of the roots, in the simple basis.
+        """Matrix of element i on the span of the roots, in the simple basis:
+        column b is the root that element i sends simple root b to.
 
         This is the space on which eigenvalues are counted; for A-type
-        factors it drops the fixed all-ones direction, as required.
+        factors it has no fixed all-ones direction, as required.
         """
-        basis_ids, coords, _, _ = self._basis()
-        perm = self.perms[i]
-        return Matrix.from_columns([coords[perm[b]] for b in basis_ids])
+        perm, roots = self.perms[i], self.system.roots
+        return Matrix.from_columns([roots[perm[b]]
+                                    for b in self.system.simple_root_indices])
 
-    def matrix_of(self, i: int) -> Matrix:
-        """Exact matrix of element i: ambient when the roots span the
-        whole space (then it is orthogonal and matches reflection_matrix),
-        otherwise the span-basis matrix."""
-        basis_ids, _, full_rank, basis_inverse = self._basis()
-        if not full_rank:
-            return self.span_matrix_of(i)
-        perm = self.perms[i]
-        image_cols = [self.system.roots[perm[b]] for b in basis_ids]
-        return Matrix.from_columns(image_cols) * basis_inverse
-
-    # -- distinguished elements ------------------------------------------------
-
-    def reflection_id(self, root_index: int) -> int:
-        """Id of the reflection in the given root."""
-        perm = root_permutation(self.system, self.system.roots[root_index])
-        return self.index[perm]
+    # -- classes -----------------------------------------------------------------
 
     def class_orbits(self):
         """Conjugacy classes as id lists: orbits under conjugation by the
@@ -154,51 +119,6 @@ class Group:
         gens = [(self.perms[i], _table(self.perms[i]))
                 for i in self.generator_ids]
         return orbits(self.perms, self.index, gens, _conjugate)
-
-
-# -- the one closure and orbit walk, for every element type of the package ---
-
-
-def closure(identity, gens, act):
-    """BFS closure of {identity} under x -> act(x, g) for g in gens:
-    the elements in discovery order and the element -> id map."""
-    elements = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = act(x, g)
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-                    fresh.append(y)
-        frontier = fresh
-    return elements, index
-
-
-def orbits(elements, index, gens, act):
-    """Orbits of the bijections x -> act(x, g), as id lists ordered by
-    least id, each starting with its least id."""
-    visited = bytearray(len(elements))
-    out = []
-    for seed in range(len(elements)):
-        if visited[seed]:
-            continue
-        visited[seed] = 1
-        members = [seed]
-        stack = [seed]
-        while stack:
-            x = elements[stack.pop()]
-            for g in gens:
-                y = index[act(x, g)]
-                if not visited[y]:
-                    visited[y] = 1
-                    members.append(y)
-                    stack.append(y)
-        out.append(members)
-    return out
 
 
 def _table(p: bytes) -> bytes:
@@ -236,49 +156,53 @@ def to_matrix(g: GroupElement) -> Matrix:
     return g.matrix()
 
 
-def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
-                   heavy: bool = False, allow_e8: bool = False) -> Group:
-    """Enumerate the reflection group of a vector-backed root system.
-
-    Refuses systems with more than 256 roots, matrix-free systems,
-    anything above the budget, and — unless explicitly unlocked — W(E8)
-    and orders past the heavy threshold.
-    """
-    n = len(system.roots)
+def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
+                     heavy: bool = False, allow_e8: bool = False) -> None:
+    """Refuse, from the factor formulas alone, what generate_group cannot
+    or should not enumerate: matrix-free factors, more than 256 roots,
+    anything above the budget and, unless explicitly unlocked, W(E8) and
+    orders past the heavy threshold."""
+    label = system_label(factors)
+    free = [f.label for f in factors if not f.has_matrix_model]
+    if free:
+        raise MatrixFreeSystemError(
+            f"{label} has no exact vector model (factors {', '.join(free)}); "
+            "use the closed-form counting path")
+    n = sum(f.root_count for f in factors)
     if n > _MAX_ROOTS:
         raise BudgetExceededError(
-            f"{system.label} has {n} roots; enumeration stores one byte per "
+            f"{label} has {n} roots; enumeration stores one byte per "
             f"root, so it is limited to {_MAX_ROOTS} roots")
-    if system.matrix_free:
-        free = [f.label for f in system.factors if not f.has_matrix_model]
-        raise MatrixFreeSystemError(
-            f"{system.label} has no exact vector model (factors {', '.join(free)}); "
-            "use the closed-form counting path")
-    estimate = system.known_order
-    if any(f.family == "E" and f.n == 8 for f in system.factors) and not allow_e8:
+    estimate = system_order(factors)
+    if any(f.family == "E" and f.n == 8 for f in factors) and not allow_e8:
         raise BudgetExceededError(
-            f"enumerating {system.label} means walking W(E8) "
+            f"enumerating {label} means walking W(E8) "
             f"(order {_E8_ORDER:,}), which is beyond desk scale; counts for it "
             "come from the closed form")
     if estimate > budget:
         raise BudgetExceededError(
-            f"estimated order {estimate:,} of {system.label} exceeds the "
+            f"estimated order {estimate:,} of {label} exceeds the "
             f"enumeration budget {budget:,} (W(E8), order {_E8_ORDER:,}, is "
             "the known system above the default budget)")
     if estimate > HEAVY_THRESHOLD and not heavy:
         raise BudgetExceededError(
-            f"estimated order {estimate:,} of {system.label} exceeds "
+            f"estimated order {estimate:,} of {label} exceeds "
             f"{HEAVY_THRESHOLD:,}; pass heavy=True (--heavy) to run it")
 
-    gen_perms = [root_permutation(system, system.roots[i])
-                 for i in system.simple_root_indices]
+
+def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
+                   heavy: bool = False, allow_e8: bool = False) -> Group:
+    """Enumerate the reflection group of a root system, after the refusals
+    of check_enumerable."""
+    check_enumerable(system.factors, budget, heavy, allow_e8)
+    gen_perms = system.simple_reflections
     # x.translate(_table(g)) is g after x
-    perms, index = closure(bytes(range(n)), [_table(g) for g in gen_perms],
-                           bytes.translate)
-    if len(perms) != estimate:
+    perms, index = closure([bytes(range(len(system.roots)))],
+                           [_table(g) for g in gen_perms], bytes.translate)
+    if len(perms) != system.known_order:
         raise RuntimeError(
             f"generated {len(perms)} elements for {system.label}, "
-            f"expected {estimate}")
+            f"expected {system.known_order}")
     generator_ids = [index[g] for g in gen_perms]
     return Group(system, perms, index, generator_ids)
 
@@ -318,22 +242,35 @@ class CacheFormatError(ValueError):
 
 
 def save_group(group: Group, path) -> None:
-    """Write a versioned binary snapshot: header plus byte permutations."""
-    n = len(group.system.roots)
-    label = group.system.label.encode()
-    # the header keeps its width byte, always 1
-    head = struct.pack("<4sBBH", _CACHE_MAGIC, CACHE_VERSION, 1, len(label))
-    head += label
-    head += struct.pack("<IQH", n, group.order, len(group.generator_ids))
-    head += struct.pack(f"<{len(group.generator_ids)}I", *group.generator_ids)
-    with open(path, "wb") as fh:
-        fh.write(head)
+    """Write a versioned binary snapshot: header, the SHA-256 digest of the
+    payload, then the payload of byte permutations.  The file is written
+    under a temporary name and renamed into place."""
+    # hashlib is imported only here and in load_group: it loads OpenSSL,
+    # about 4 MB of resident memory that a run without the cache never needs
+    import hashlib
+    label, ids = group.system.label.encode(), group.generator_ids
+    digest = hashlib.sha256()
+    for p in group.perms:
+        digest.update(p)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        # the width byte is always 1
+        fh.write(struct.pack("<4sBBH", _CACHE_MAGIC, CACHE_VERSION, 1, len(label))
+                 + label
+                 + struct.pack("<IQH", len(group.system.roots), group.order,
+                               len(ids))
+                 + struct.pack(f"<{len(ids)}I", *ids))
+        fh.write(digest.digest())
         for p in group.perms:
             fh.write(p)
+    os.replace(tmp, path)
 
 
 def load_group(path) -> Group:
-    """Rebuild a group from a snapshot; the root system is rebuilt from its label."""
+    """Rebuild a group from a snapshot; the root system is rebuilt from its
+    label, and the payload must match its digest, the system's simple
+    reflections and the group order."""
+    import hashlib  # see save_group
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -353,23 +290,36 @@ def load_group(path) -> Group:
         offset += 14
         generator_ids = list(struct.unpack_from(f"<{n_gens}I", blob, offset))
         offset += 4 * n_gens
-        system = system_from_spec(label)
-        if len(system.roots) != n:
-            raise CacheFormatError(
-                f"{path}: root count {n} does not match the {label} model")
-        if order != system.known_order:
-            raise CacheFormatError(
-                f"{path}: order {order} does not match |W({label})| = "
-                f"{system.known_order}")
-        if len(blob) - offset != order * n:
-            raise CacheFormatError(
-                f"{path}: payload has {len(blob) - offset} bytes, expected "
-                f"{order} x {n}")
-        if any(g >= order for g in generator_ids):
-            raise CacheFormatError(f"{path}: generator id out of range")
-        perms = [blob[offset + k * n:offset + (k + 1) * n]
-                 for k in range(order)]
-    except struct.error as exc:
-        raise CacheFormatError(f"{path}: truncated header ({exc})") from exc
+        stored_digest = blob[offset:offset + 32]
+        offset += 32
+        factors = parse_system_spec(label)
+    except CacheFormatError:
+        raise
+    except (struct.error, ValueError) as exc:  # truncated, or a bad label
+        raise CacheFormatError(f"{path}: unreadable header ({exc})") from exc
+    if (n > _MAX_ROOTS or n != sum(f.root_count for f in factors)
+            or not all(f.has_matrix_model for f in factors)):
+        raise CacheFormatError(
+            f"{path}: root count {n} does not match the {label} model")
+    if order != system_order(factors):
+        raise CacheFormatError(
+            f"{path}: order {order} does not match |W({label})| = "
+            f"{system_order(factors)}")
+    if len(blob) - offset != order * n:
+        raise CacheFormatError(
+            f"{path}: payload has {len(blob) - offset} bytes, expected "
+            f"{order} x {n}")
+    if hashlib.sha256(memoryview(blob)[offset:]).digest() != stored_digest:
+        raise CacheFormatError(f"{path}: payload does not match its digest")
+    if any(g >= order for g in generator_ids):
+        raise CacheFormatError(f"{path}: generator id out of range")
+    system = system_from_spec(label)
+    perms = [blob[offset + k * n:offset + (k + 1) * n] for k in range(order)]
+    del blob  # the perms are copies: free the file image before the index
+    if [perms[g] for g in generator_ids] != list(system.simple_reflections):
+        raise CacheFormatError(
+            f"{path}: generators are not the simple reflections of {label}")
     index = {p: i for i, p in enumerate(perms)}
+    if len(index) != order:
+        raise CacheFormatError(f"{path}: payload repeats an element")
     return Group(system, perms, index, generator_ids)

@@ -84,12 +84,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self) -> "Matrix":
         return Matrix.from_columns(self.rows)
 
@@ -98,7 +92,7 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = other.columns()
+        cols = list(zip(*other.rows))
         return Matrix(tuple(tuple(dot(row, col) for col in cols)
                             for row in self.rows))
 
@@ -331,79 +325,3 @@ def lagrange_interpolate(points, values) -> tuple:
             denom = denom * FieldElement(xi - xj)
         result = poly_add(result, poly_scale(yi / denom, numer))
     return result
-
-
-# -- solving in a spanning set ------------------------------------------------
-
-
-def span_rank(vectors: Sequence[Vector]) -> int:
-    """Dimension of the span of the given vectors."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    for col in range(width):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        inv = pivot.inverse()
-        for r in range(len(rows)):
-            if r == rank or rows[r][col].is_zero:
-                continue
-            factor = rows[r][col] * inv
-            for c in range(col, width):
-                rows[r][c] = rows[r][c] - factor * rows[rank][c]
-        rank += 1
-        if rank == min(len(rows), width):
-            break
-    return rank
-
-
-def solve_in_basis(basis: Sequence[Vector], targets: Sequence[Vector]):
-    """Coordinates of each target in the given linearly independent basis.
-
-    Raises ValueError if the basis is dependent or a target lies outside
-    its span.  Returns one coordinate tuple per target.
-    """
-    d = len(basis)
-    if d == 0:
-        for t in targets:
-            if any(not c.is_zero for c in t):
-                raise ValueError("target outside the span of an empty basis")
-        return [() for _ in targets]
-    n = len(basis[0])
-    k = len(targets)
-    # augmented rows: [basis columns | target columns], one row per ambient dim
-    aug = [[basis[j][i] for j in range(d)] + [targets[m][i] for m in range(k)]
-           for i in range(n)]
-    pivot_cols = []
-    row = 0
-    for col in range(d):
-        pivot_row = None
-        for r in range(row, n):
-            if not aug[r][col].is_zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ValueError("basis vectors are linearly dependent")
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [e * inv for e in aug[row]]
-        for r in range(n):
-            if r == row or aug[r][col].is_zero:
-                continue
-            factor = aug[r][col]
-            aug[r] = [e - factor * p for e, p in zip(aug[r], aug[row])]
-        pivot_cols.append(col)
-        row += 1
-    for r in range(row, n):
-        if any(not aug[r][d + m].is_zero for m in range(k)):
-            raise ValueError("target outside the span of the basis")
-    return [tuple(aug[i][d + m] for i in range(d)) for m in range(k)]

@@ -12,12 +12,13 @@ what the determinant identity det(x -> lx - xr) = 4 (l0 - r0)^2 encodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .classes import conjugacy_classes
-from .field import GOLDEN, ONE, ZERO, FieldElement
-from .group import closure, orbits, shared_group
+from .field import GOLDEN, HALF, ONE, ZERO, FieldElement
+from .group import shared_group
 from .linalg import Matrix, poly_mul, poly_neg
-from .roots import build_irreducible, parse_factor
+from .roots import build_irreducible, closure, orbits, parse_factor
 
 
 # -- exact quaternions -------------------------------------------------------
@@ -53,11 +54,6 @@ class Quaternion:
             a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         )
 
-    def __add__(self, other):
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return Quaternion(*(a + b for a, b in zip(self.coords, other.coords)))
-
     def __sub__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
@@ -89,10 +85,16 @@ _Q_BASIS = (Quaternion.from_coords((1, 0, 0, 0)),
             Quaternion.from_coords((0, 0, 0, 1)))
 
 
-def unit_icosians():
-    """The 120 unit icosians (exactly the rank-4 root vectors as quaternions)."""
-    system = build_irreducible(parse_factor("H4"))
-    return [Quaternion.from_coords(r) for r in system.roots]
+@lru_cache(maxsize=None)
+def unit_icosians() -> tuple:
+    """The 120 unit icosians, sorted: the group generated by (1+i+j+k)/2 and
+    (phi + i + j/phi)/2, i.e. +-1, +-i, +-j, +-k, (+-1 +- i +- j +- k)/2 and
+    the even permutations of (+-phi, +-1, +-1/phi, 0)/2.  As vectors of R^4
+    they are the roots of the rank-4 icosahedral group."""
+    gens = [Quaternion(HALF, HALF, HALF, HALF),
+            Quaternion(GOLDEN * HALF, HALF, (GOLDEN - 1) * HALF, ZERO)]
+    units, _ = closure([_Q_BASIS[0]], gens, lambda q, g: q * g)
+    return tuple(sorted(units, key=lambda q: q.coords))
 
 
 def _require_unit(q: Quaternion, name: str):
@@ -201,7 +203,7 @@ def h3_charpoly_table_check() -> H3TableVerdict:
         if not (m - ident).det().is_zero:
             problems.append(f"{name} unexpectedly has no eigenvalue +1")
 
-    elements, index = closure(ident, [a, b, c], lambda m, g: g * m)
+    elements, index = closure([ident], [a, b, c], lambda m, g: g * m)
     if len(elements) != 120:
         problems.append(f"group order {len(elements)}, expected 120")
     # the generators are involutions, so g m g is conjugation by g

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .group import orbits
-from .roots import Factor
+from .roots import Factor, orbits
 
 _BN_ENUM_BUDGET = 40
 
@@ -46,66 +45,42 @@ class TraceCount:
 
 
 @lru_cache(maxsize=None)
-def _partition_table(n_max: int):
+def _series(n_max: int, step: int, distinct: bool):
+    """Coefficients up to x^n_max of the product over the parts
+    k = 1, 1 + step, 1 + 2 step, ... of 1/(1 - x^k), or of (1 + x^k)
+    when the parts are distinct."""
     ways = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for m in range(part, n_max + 1):
+    for part in range(1, n_max + 1, step):
+        span = (range(n_max, part - 1, -1) if distinct
+                else range(part, n_max + 1))
+        for m in span:
             ways[m] += ways[m - part]
     return tuple(ways)
+
+
+def _coefficient(n: int, step: int = 1, distinct: bool = False) -> int:
+    if n < 0:
+        raise ValueError("partition count of a negative integer")
+    return _series(max(n, 1), step, distinct)[n]
 
 
 def partition_count(n: int) -> int:
     """p(n), the number of partitions of n."""
-    if n < 0:
-        raise ValueError("partition count of a negative integer")
-    return _partition_table(max(n, 1))[n]
-
-
-@lru_cache(maxsize=None)
-def _odd_part_table(n_max: int):
-    ways = [1] + [0] * n_max
-    for part in range(1, n_max + 1, 2):
-        for m in range(part, n_max + 1):
-            ways[m] += ways[m - part]
-    return tuple(ways)
+    return _coefficient(n)
 
 
 def partitions_odd_parts(n: int) -> int:
     """Number of partitions of n into odd summands."""
-    if n < 0:
-        raise ValueError("partition count of a negative integer")
-    return _odd_part_table(max(n, 1))[n]
-
-
-@lru_cache(maxsize=None)
-def _distinct_part_table(n_max: int):
-    ways = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for m in range(n_max, part - 1, -1):
-            ways[m] += ways[m - part]
-    return tuple(ways)
+    return _coefficient(n, step=2)
 
 
 def partitions_distinct_parts(n: int) -> int:
-    if n < 0:
-        raise ValueError("partition count of a negative integer")
-    return _distinct_part_table(max(n, 1))[n]
-
-
-@lru_cache(maxsize=None)
-def _distinct_odd_table(n_max: int):
-    ways = [1] + [0] * n_max
-    for part in range(1, n_max + 1, 2):
-        for m in range(n_max, part - 1, -1):
-            ways[m] += ways[m - part]
-    return tuple(ways)
+    return _coefficient(n, distinct=True)
 
 
 def distinct_odd_partitions(n: int) -> int:
     """Number of partitions of n into distinct odd summands."""
-    if n < 0:
-        raise ValueError("partition count of a negative integer")
-    return _distinct_odd_table(max(n, 1))[n]
+    return _coefficient(n, step=2, distinct=True)
 
 
 @lru_cache(maxsize=None)
@@ -123,15 +98,11 @@ def _parity_difference_table(n_max: int):
 
 def partitions_even_summand_count(n: int) -> int:
     """Partitions of n with an even number of summands."""
-    if n < 0:
-        raise ValueError("partition count of a negative integer")
     return (partition_count(n) + _parity_difference_table(max(n, 1))[n]) // 2
 
 
 def partitions_odd_summand_count(n: int) -> int:
     """Partitions of n with an odd number of summands."""
-    if n < 0:
-        raise ValueError("partition count of a negative integer")
     return (partition_count(n) - _parity_difference_table(max(n, 1))[n]) // 2
 
 

@@ -1,42 +1,50 @@
-"""Finite root systems with exact coordinates.
+"""Finite root systems in simple-root coordinates.
 
-Each supported family gets a concrete vector model over the sqrt(5)
-field, chosen so that every coordinate is exact:
+Each factor is given by its Cartan matrix a_ij = 2(alpha_i, alpha_j) /
+(alpha_i, alpha_i) over Z[phi] (phi the golden ratio).  Its roots are
+the orbit of the simple roots alpha_i = e_i under the simple reflections
+s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, written as coordinate
+vectors in the simple basis, so all coordinates lie in Z[phi].
 
-  A(n)    e_i - e_j in R^(n+1)            (A0 is the empty system in R^1)
-  B(n)    +-e_i, +-e_i +- e_j             (C(n) is the same group; the C
-                                           label is normalized to B)
-  D(n)    +-e_i +- e_j
-  E6, E7  subsystems of E8 orthogonal to one resp. two chosen vectors
-  E8      +-e_i +- e_j and half-integer vectors with even minus count
-  F4      +-e_i, +-e_i +- e_j, (+-1,+-1,+-1,+-1)/2
-  G2      +-(e_i - e_j), +-(2e_i - e_j - e_k) in the sum-zero plane of R^3
-  H3      (+-1,0,0) and cyclic shifts, plus (+-1,+-phi,+-1/phi)/2 cyclic
-  H4      the 120 unit icosians in R^4
-  I2(n)   n = 3, 4, 6: the A2 / B2 / G2 vectors; n = 5: the ten H3 roots
-          in a fixed pentagonal plane of R^3.  Other n have no exact
-          model over this field and are flagged matrix_free.
+  A(n)    a chain (A0 has no roots; its fixed line is a trivial_dim)
+  B(n)    a chain whose node 0 is the short root (C(n) is read as B(n))
+  D(n)    nodes 0 and 1 both attached to node 2, then a chain
+  E6..8, F4, G2, H3, H4   fixed edge lists
+  I2(m)   a_01 a_10 = 4 cos^2(pi/m): 1, 2, phi^2, 3 and 2 + phi for
+          m = 3, 4, 5, 6, 10; other m have no Cartan matrix over Z[phi]
+          and are flagged matrix_free
 
-Rotations by pi/n for general n need sin(pi/n), which lives outside the
-sqrt(5) field for n not in {3, 4, 5, 6} -- hence the matrix_free flag,
-and hence the embedding of I2(3), I2(5), I2(6) in R^3 rather than R^2.
+The node order is the one in which earlier releases found the simple
+roots of their vector models, so element ids, class order and every
+printed report stay the same.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
-from .field import GOLDEN, HALF, ONE, ZERO, FieldElement
-from .linalg import Matrix, Vector, dot, span_rank, vneg, vscale, vsub
+from .field import GOLDEN, ZERO, FieldElement
 
-_EXCEPTIONAL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-                       ("F", 4): 1152, ("G", 2): 12, ("H", 3): 120, ("H", 4): 14400}
+# |W|, the Coxeter number h (|R| = rank x h) and the Cartan edges:
+# (i, j) for a_ij = a_ji = -1, or (i, j, a_ij, a_ji)
+_EXCEPTIONAL = {
+    ("E", 6): (51840, 12, ((0, 2), (0, 5), (1, 2), (1, 4), (2, 3))),
+    ("E", 7): (2903040, 18, ((0, 6), (1, 3), (2, 3), (2, 6), (3, 4), (4, 5))),
+    ("E", 8): (696729600, 30,
+               ((0, 2), (0, 7), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))),
+    ("F", 4): (1152, 12, ((0, 1, -2, -1), (0, 3), (1, 2))),
+    ("G", 2): (12, 6, ((0, 1, -3, -1),)),
+    ("H", 3): (120, 10, ((0, 2, -GOLDEN, -GOLDEN), (1, 2))),
+    ("H", 4): (14400, 30, ((0, 2, -GOLDEN, -GOLDEN), (1, 2), (1, 3))),
+}
 
-_I2_MODELED = (3, 4, 5, 6)
+# I2(m): (a_01, a_10)
+_I2_CARTAN = {3: (-1, -1), 4: (-2, -1), 5: (-GOLDEN, -GOLDEN), 6: (-3, -1),
+              10: (-1, -2 - GOLDEN)}
+_I2_MODELED = tuple(_I2_CARTAN)
 
 
 class SpecParseError(ValueError):
@@ -52,9 +60,7 @@ class Factor:
 
     @property
     def label(self) -> str:
-        if self.family == "I":
-            return f"I2({self.n})"
-        return f"{self.family}{self.n}"
+        return f"I2({self.n})" if self.family == "I" else f"{self.family}{self.n}"
 
     @property
     def order(self) -> int:
@@ -67,22 +73,26 @@ class Factor:
             return 2 ** (self.n - 1) * factorial(self.n)
         if self.family == "I":
             return 2 * self.n
-        return _EXCEPTIONAL_ORDERS[(self.family, self.n)]
+        return _EXCEPTIONAL[(self.family, self.n)][0]
+
+    @property
+    def rank(self) -> int:
+        return 2 if self.family == "I" else self.n
+
+    @property
+    def root_count(self) -> int:
+        """|R|, from the classical formulas."""
+        h = {"A": self.n + 1, "B": 2 * self.n, "D": 2 * self.n - 2,
+             "I": self.n}.get(self.family)
+        return self.rank * (h or _EXCEPTIONAL[(self.family, self.n)][1])
 
     @property
     def contains_minus_identity(self) -> bool:
-        """Whether -identity lies in the group (classification fact)."""
-        if self.family == "A":
-            return self.n == 1
-        if self.family == "B" or self.family == "F" or self.family == "G":
-            return True
-        if self.family == "D":
-            return self.n % 2 == 0
-        if self.family == "E":
-            return self.n in (7, 8)
-        if self.family == "H":
-            return True
-        return self.n % 2 == 0  # I2(n)
+        """Whether -identity lies in the group (classification fact;
+        always for B, F, G and H)."""
+        n = self.n
+        return {"A": n == 1, "D": n % 2 == 0, "E": n != 6,
+                "I": n % 2 == 0}.get(self.family, True)
 
     @property
     def has_matrix_model(self) -> bool:
@@ -97,44 +107,26 @@ class Factor:
 _FACTOR_RE = re.compile(r"^(A|B|C|D|E|F|G|H)(\d+)$|^I2\((\d+)\)$")
 
 
+# the ranks each family accepts, as (lowest, highest or None)
+_RANKS = {"A": (0, None), "B": (2, None), "C": (2, None), "D": (2, None),
+          "E": (6, 8), "F": (4, 4), "G": (2, 2), "H": (3, 4), "I": (3, None)}
+
+
 def parse_factor(token: str) -> Factor:
     text = token.strip().upper().replace(" ", "")
     m = _FACTOR_RE.match(text)
     if not m:
         raise SpecParseError(f"unrecognized system label {token!r}")
     if m.group(3) is not None:
-        n = int(m.group(3))
-        if n < 3:
-            raise SpecParseError(f"I2(n) needs n >= 3, got {token!r}")
-        return Factor("I", n)
-    family, n = m.group(1), int(m.group(2))
-    if family == "A":
-        if n < 0:
-            raise SpecParseError(f"A(n) needs n >= 0, got {token!r}")
-        return Factor("A", n)
-    if family in ("B", "C"):
-        if n < 2:
-            raise SpecParseError(f"{family}(n) needs n >= 2, got {token!r}")
-        return Factor("B", n)  # W(B n) = W(C n); one internal label
-    if family == "D":
-        if n < 2:
-            raise SpecParseError(f"D(n) needs n >= 2, got {token!r}")
-        return Factor("D", n)
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise SpecParseError(f"E(n) exists for n in 6..8, got {token!r}")
-        return Factor("E", n)
-    if family == "F":
-        if n != 4:
-            raise SpecParseError(f"F(n) exists only for n = 4, got {token!r}")
-        return Factor("F", 4)
-    if family == "G":
-        if n != 2:
-            raise SpecParseError(f"G(n) exists only for n = 2, got {token!r}")
-        return Factor("G", 2)
-    if n not in (3, 4):
-        raise SpecParseError(f"H(n) exists for n in 3..4, got {token!r}")
-    return Factor("H", n)
+        family, n = "I", int(m.group(3))
+    else:
+        family, n = m.group(1), int(m.group(2))
+    low, high = _RANKS[family]
+    if n < low or (high is not None and n > high):
+        allowed = f"n >= {low}" if high is None else f"n in {low}..{high}"
+        raise SpecParseError(f"{family}(n) needs {allowed}, got {token!r}")
+    # W(C n) = W(B n); one internal label
+    return Factor("B" if family == "C" else family, n)
 
 
 def parse_system_spec(spec: str) -> tuple:
@@ -144,199 +136,158 @@ def parse_system_spec(spec: str) -> tuple:
     return tuple(parse_factor(tok) for tok in spec.split("+"))
 
 
-# -- vector models -------------------------------------------------------------
+def system_label(factors) -> str:
+    return "+".join(f.label for f in factors)
 
 
-def _axis(n, i, value=ONE):
-    return tuple(value if j == i else ZERO for j in range(n))
+def system_order(factors) -> int:
+    return prod(f.order for f in factors)
 
 
-def _roots_a(n: int):
-    # e_i - e_j in R^(n+1); empty for n = 0
-    roots = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i != j:
-                roots.append(tuple(ONE if k == i else -ONE if k == j else ZERO
-                                   for k in range(n + 1)))
-    return n + 1, roots
+# -- Cartan matrices and root closure -------------------------------------------
 
 
-def _roots_b(n: int):
-    roots = [vscale(s, _axis(n, i)) for i in range(n) for s in (ONE, -ONE)]
-    roots += _sum_diff_pairs(n)
-    return n, roots
-
-
-def _roots_d(n: int):
-    return n, _sum_diff_pairs(n)
-
-
-def _sum_diff_pairs(n: int):
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (ONE, -ONE):
-                for sj in (ONE, -ONE):
-                    out.append(tuple(si if k == i else sj if k == j else ZERO
-                                     for k in range(n)))
-    return out
-
-
-def _roots_e8():
-    roots = _sum_diff_pairs(8)
-    for signs in itertools.product((HALF, -HALF), repeat=8):
-        if sum(1 for s in signs if s < ZERO) % 2 == 0:
-            roots.append(signs)
-    return 8, roots
-
-
-def _roots_e7():
-    # the E8 roots orthogonal to e7 + e8
-    _, e8 = _roots_e8()
-    marker = tuple([ZERO] * 6 + [ONE, ONE])
-    return 8, [r for r in e8 if dot(r, marker).is_zero]
-
-
-def _roots_e6():
-    # the E7 roots additionally orthogonal to e6 + e7
-    _, e7 = _roots_e7()
-    marker = tuple([ZERO] * 5 + [ONE, ONE, ZERO])
-    return 8, [r for r in e7 if dot(r, marker).is_zero]
-
-
-def _roots_f4():
-    roots = [vscale(s, _axis(4, i)) for i in range(4) for s in (ONE, -ONE)]
-    roots += _sum_diff_pairs(4)
-    roots += [signs for signs in itertools.product((HALF, -HALF), repeat=4)]
-    return 4, roots
-
-
-def _roots_g2():
-    roots = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                roots.append(tuple(ONE if k == i else -ONE if k == j else ZERO
-                                   for k in range(3)))
-    two = FieldElement(2)
-    for i in range(3):
-        long_root = tuple(two if k == i else -ONE for k in range(3))
-        roots.append(long_root)
-        roots.append(vneg(long_root))
-    return 3, roots
-
-
-def _h3_vectors():
-    phi = GOLDEN
-    phinv = GOLDEN - 1
-    roots = [vscale(s, _axis(3, i)) for i in range(3) for s in (ONE, -ONE)]
-    base = (ONE, phi, phinv)
-    for shift in range(3):
-        shifted = base[-shift:] + base[:-shift]
-        for signs in itertools.product((HALF, -HALF), repeat=3):
-            roots.append(tuple(s * v for s, v in zip(signs, shifted)))
-    return roots
-
-
-def _roots_h3():
-    return 3, _h3_vectors()
-
-
-def _roots_h4():
-    phi = GOLDEN
-    phinv = GOLDEN - 1
-    roots = [vscale(s, _axis(4, i)) for i in range(4) for s in (ONE, -ONE)]
-    roots += [signs for signs in itertools.product((HALF, -HALF), repeat=4)]
-    # even coordinate permutations of (phi, 1, 1/phi, 0)/2
-    values = (phi * HALF, HALF, phinv * HALF, ZERO)
-    for perm in itertools.permutations(range(4)):
-        if _permutation_parity(perm) != 0:
-            continue
-        placed = [None] * 4
-        for slot, which in enumerate(perm):
-            placed[slot] = values[which]
-        nonzero = [k for k in range(4) if not placed[k].is_zero]
-        for signs in itertools.product((1, -1), repeat=3):
-            root = list(placed)
-            for s, k in zip(signs, nonzero):
-                if s < 0:
-                    root[k] = -root[k]
-            roots.append(tuple(root))
-    return 4, roots
-
-
-def _permutation_parity(perm) -> int:
-    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                     if perm[i] > perm[j])
-    return inversions % 2
-
-
-def _roots_i2_pentagon():
-    """The ten H3 roots orthogonal to (0, -phi, 1): an exact decagon."""
-    axis = (ZERO, -GOLDEN, ONE)
-    return 3, [r for r in _h3_vectors() if dot(r, axis).is_zero]
-
-
-def _irreducible_vectors(factor: Factor):
+def _edges(factor: Factor):
+    n = factor.n
     if factor.family == "A":
-        return _roots_a(factor.n)
+        return [(k, k + 1) for k in range(n - 1)]
     if factor.family == "B":
-        return _roots_b(factor.n)
+        return [(0, 1, -2, -1)] + [(k, k + 1) for k in range(1, n - 1)]
     if factor.family == "D":
-        return _roots_d(factor.n)
-    if factor.family == "E":
-        return {6: _roots_e6, 7: _roots_e7, 8: _roots_e8}[factor.n]()
-    if factor.family == "F":
-        return _roots_f4()
-    if factor.family == "G":
-        return _roots_g2()
-    if factor.family == "H":
-        return _roots_h3() if factor.n == 3 else _roots_h4()
-    # I2(n): borrow the crystallographic models where they exist
-    if factor.n == 3:
-        return _roots_a(2)
-    if factor.n == 4:
-        return _roots_b(2)
-    if factor.n == 6:
-        return _roots_g2()
-    if factor.n == 5:
-        return _roots_i2_pentagon()
-    raise ValueError(f"{factor.label} has no vector model over Q(sqrt 5)")
+        fork = [(0, 2), (1, 2)] if n > 2 else []
+        return fork + [(k, k + 1) for k in range(2, n - 1)]
+    if factor.family == "I":
+        return [(0, 1) + _I2_CARTAN[n]]
+    return _EXCEPTIONAL[(factor.family, n)][2]
+
+
+def cartan_matrix(factor: Factor) -> tuple:
+    """The Cartan matrix a_ij = <alpha_j, alpha_i^vee> in simple-root order."""
+    if not factor.has_matrix_model:
+        raise ValueError(f"{factor.label} has no Cartan matrix over Z[phi]")
+    n = factor.rank
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, *pair in _edges(factor):
+        rows[i][j], rows[j][i] = pair or (-1, -1)
+    return tuple(tuple(FieldElement(a) if isinstance(a, int) else a for a in row)
+                 for row in rows)
+
+
+def _pairs(vector) -> tuple:
+    """A vector over Z[phi] as the integers x0, y0, x1, y1, ... of its
+    coordinates x + y*phi (a + b*sqrt5 = (a - b) + 2b*phi)."""
+    return tuple(v for e in vector for v in (int(e.a - e.b), int(2 * e.b)))
+
+
+def _unpair(flat) -> tuple:
+    # x + y*phi = (2x + y)/2 + (y/2)*sqrt5
+    return tuple(FieldElement(Fraction(2 * x + y, 2), Fraction(y, 2))
+                 for x, y in zip(flat[::2], flat[1::2]))
+
+
+def _reflector(cartan):
+    """s(i, beta): the simple reflection s_i of a root in the integer form
+    of _pairs.  Only coordinate i moves, by <beta, alpha_i^vee> =
+    sum_j a_ij beta_j, computed in Z[phi] with phi^2 = phi + 1."""
+    rows = [[(2 * j,) + _pairs((a,)) for j, a in enumerate(row) if a]
+            for row in cartan]
+
+    def s(i, beta):
+        px = py = 0
+        for k, ax, ay in rows[i]:
+            bx, by = beta[k], beta[k + 1]
+            t = by * ay
+            px += bx * ax + t
+            py += bx * ay + by * ax + t
+        k = 2 * i
+        return beta[:k] + (beta[k] - px, beta[k + 1] - py) + beta[k + 2:]
+    return s
+
+
+# -- the one closure and orbit walk, for roots and every group model ---------
+
+
+def closure(seeds, gens, act):
+    """BFS closure of the seeds under x -> act(x, g) for g in gens: the
+    elements in discovery order and the element -> id map."""
+    elements = list(seeds)
+    index = {x: i for i, x in enumerate(elements)}
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    fresh.append(y)
+        frontier = fresh
+    return elements, index
+
+
+def orbits(elements, index, gens, act):
+    """Orbits of the bijections x -> act(x, g), as id lists ordered by
+    least id, each starting with its least id."""
+    visited = bytearray(len(elements))
+    out = []
+    for seed in range(len(elements)):
+        if visited[seed]:
+            continue
+        visited[seed] = 1
+        members = [seed]
+        stack = [seed]
+        while stack:
+            x = elements[stack.pop()]
+            for g in gens:
+                y = index[act(x, g)]
+                if not visited[y]:
+                    visited[y] = 1
+                    members.append(y)
+                    stack.append(y)
+        out.append(members)
+    return out
 
 
 # -- the system object ----------------------------------------------------------
 
 
 class RootSystem:
-    """A finite root system: exact root vectors plus factor bookkeeping.
+    """A finite root system: roots in simple-root coordinates, the Cartan
+    matrix of the simple roots, and factor bookkeeping.
 
-    trivial_dims counts ambient directions carrying no roots that still
-    take part in the spectrum convention: each A0 factor contributes one
-    such direction, on which every group element acts as +1.
+    trivial_dims counts directions carrying no roots that still take part
+    in the spectrum convention: each A0 factor contributes one such
+    direction, on which every group element acts as +1.
     """
 
-    def __init__(self, factors, dimension, roots, matrix_free=False,
-                 trivial_dims=0):
+    def __init__(self, factors, roots, cartan):
         self.factors = tuple(factors)
-        self.dimension = dimension
         self.roots = tuple(roots)
-        self.matrix_free = matrix_free
-        self.trivial_dims = trivial_dims
+        self.cartan = tuple(cartan)
         self._root_index = None
-        self._rank = None
         self._simple = None
+        self._reflections = None
 
     @property
     def label(self) -> str:
-        return "+".join(f.label for f in self.factors)
+        return system_label(self.factors)
 
     @property
     def known_order(self) -> int:
-        order = 1
-        for f in self.factors:
-            order *= f.order
-        return order
+        return system_order(self.factors)
+
+    @property
+    def matrix_free(self) -> bool:
+        return not all(f.has_matrix_model for f in self.factors)
+
+    @property
+    def trivial_dims(self) -> int:
+        return sum(1 for f in self.factors if f.family == "A" and f.n == 0)
+
+    @property
+    def rank(self) -> int:
+        return len(self.cartan)
 
     @property
     def root_index(self) -> dict:
@@ -345,97 +296,53 @@ class RootSystem:
         return self._root_index
 
     @property
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = span_rank(self.roots)
-        return self._rank
-
-    @property
     def simple_root_indices(self) -> tuple:
-        """Indices of the simple system for the lexicographic positive half.
-
-        A positive root is simple exactly when its reflection permutes
-        the remaining positive roots; this characterization is valid for
-        every finite reflection group, crystallographic or not.  Roots
-        orthogonal to the candidate are fixed by its reflection, so only
-        the others are reflected.
-        """
+        """Indices of the simple roots, the unit coordinate vectors."""
         if self._simple is None:
-            positive = [i for i, r in enumerate(self.roots) if _is_positive(r)]
-            pos_set = {self.roots[i] for i in positive}
-            simple = []
-            for i in positive:
-                v = self.roots[i]
-                two_over_norm = 2 / dot(v, v)
-                for j in positive:
-                    w = self.roots[j]
-                    d = dot(w, v)
-                    if j == i or d.is_zero:
-                        continue
-                    if vsub(w, vscale(d * two_over_norm, v)) not in pos_set:
-                        break
-                else:
-                    simple.append(i)
-            if len(simple) != self.rank:
-                raise RuntimeError(
-                    f"simple system of {self.label} has size {len(simple)}, "
-                    f"expected rank {self.rank}")
-            self._simple = tuple(simple)
+            n = self.rank
+            self._simple = tuple(
+                self.root_index[tuple(FieldElement(int(i == j)) for j in range(n))]
+                for i in range(n))
         return self._simple
 
+    @property
+    def simple_reflections(self) -> tuple:
+        """Root permutation of each simple reflection, one byte per root
+        (the element format of coxtraces.group)."""
+        if self._reflections is None:
+            s = _reflector(self.cartan)
+            flat = [_pairs(r) for r in self.roots]
+            index = {beta: k for k, beta in enumerate(flat)}
+            self._reflections = tuple(bytes(index[s(i, beta)] for beta in flat)
+                                      for i in range(self.rank))
+        return self._reflections
+
     def __repr__(self):
-        return f"RootSystem({self.label}, {len(self.roots)} roots in R^{self.dimension})"
-
-
-def _is_positive(root: Vector) -> bool:
-    for c in root:
-        s = c.sign()
-        if s:
-            return s > 0
-    return False
-
-
-def reflect(x: Vector, v: Vector) -> Vector:
-    """Image of x under the reflection through the hyperplane orthogonal to v."""
-    coeff = (dot(x, v) * 2) / dot(v, v)
-    return vsub(x, vscale(coeff, v))
-
-
-def reflection_matrix(v: Vector) -> Matrix:
-    """Ambient matrix of the reflection in v (exact, orthogonal)."""
-    n = len(v)
-    inv_norm = dot(v, v).inverse()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = -2 * v[i] * v[j] * inv_norm
-            if i == j:
-                entry = entry + ONE
-            row.append(entry)
-        rows.append(tuple(row))
-    return Matrix(rows)
+        return f"RootSystem({self.label}, {len(self.roots)} roots, rank {self.rank})"
 
 
 def build_irreducible(factor: Factor) -> RootSystem:
-    """Vector model of one irreducible factor (or a matrix_free shell)."""
-    if factor.family == "A" and factor.n == 0:
-        return RootSystem((factor,), 1, (), trivial_dims=1)
+    """Roots of one irreducible factor (no roots for A0 and matrix-free I2(m))."""
     if not factor.has_matrix_model:
-        return RootSystem((factor,), 2, (), matrix_free=True)
-    dimension, vectors = _irreducible_vectors(factor)
-    return RootSystem((factor,), dimension, sorted(vectors))
+        return RootSystem((factor,), (), ())
+    cartan = cartan_matrix(factor)
+    s, n = _reflector(cartan), len(cartan)
+    # the orbit of the simple roots e_i (in the integer form of _pairs)
+    units = [tuple(int(k == 2 * i) for k in range(2 * n)) for i in range(n)]
+    roots, _ = closure(units, range(n), lambda beta, i: s(i, beta))
+    if len(roots) != factor.root_count:
+        raise RuntimeError(f"the Cartan matrix of {factor.label} gives "
+                           f"{len(roots)} roots, expected {factor.root_count}")
+    return RootSystem((factor,), [_unpair(r) for r in sorted(roots)], cartan)
 
 
 def direct_sum(first: RootSystem, second: RootSystem) -> RootSystem:
     """Orthogonal juxtaposition; factor order and root blocks are preserved."""
-    d1, d2 = first.dimension, second.dimension
-    pad1 = (ZERO,) * d2
-    pad2 = (ZERO,) * d1
+    pad1, pad2 = (ZERO,) * second.rank, (ZERO,) * first.rank
     roots = [r + pad1 for r in first.roots] + [pad2 + r for r in second.roots]
-    return RootSystem(first.factors + second.factors, d1 + d2, roots,
-                      matrix_free=first.matrix_free or second.matrix_free,
-                      trivial_dims=first.trivial_dims + second.trivial_dims)
+    cartan = ([row + pad1 for row in first.cartan]
+              + [pad2 + row for row in second.cartan])
+    return RootSystem(first.factors + second.factors, roots, cartan)
 
 
 def build_system(factors) -> RootSystem:
@@ -450,70 +357,3 @@ def build_system(factors) -> RootSystem:
 
 def system_from_spec(spec: str) -> RootSystem:
     return build_system(parse_system_spec(spec))
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    problems: list
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_root_system(system: RootSystem) -> ValidationReport:
-    """Check the root system axioms exactly; reports the first few violations."""
-    problems = []
-    roots = system.roots
-    root_set = set(roots)
-    if len(root_set) != len(roots):
-        problems.append("duplicate roots")
-    for r in roots:
-        if all(c.is_zero for c in r):
-            problems.append("zero vector listed as a root")
-            break
-    # collinear roots may only come in +-v pairs
-    for r in roots:
-        if vneg(r) not in root_set:
-            problems.append(f"missing negative of {r}")
-            break
-    for i, r in enumerate(roots):
-        for s in roots[i + 1:]:
-            if s == vneg(r):
-                continue
-            if _collinear(r, s):
-                problems.append(f"roots {r} and {s} are collinear")
-                break
-        if problems and problems[-1].startswith("roots "):
-            break
-    # closure under every root reflection
-    for v in roots:
-        for r in roots:
-            if reflect(r, v) not in root_set:
-                problems.append(f"reflection in {v} moves {r} outside the system")
-                break
-        if problems and problems[-1].startswith("reflection"):
-            break
-    return ValidationReport(not problems, problems)
-
-
-def _collinear(r: Vector, s: Vector) -> bool:
-    ratio = None
-    for a, b in zip(r, s):
-        if a.is_zero != b.is_zero:
-            return False
-        if a.is_zero:
-            continue
-        current = b / a
-        if ratio is None:
-            ratio = current
-        elif current != ratio:
-            return False
-    return True
-
-
-def root_permutation(system: RootSystem, v: Vector) -> bytes:
-    """Permutation of root indices induced by the reflection in v, one
-    byte per root (the element format of coxtraces.group)."""
-    index = system.root_index
-    return bytes(index[reflect(r, v)] for r in system.roots)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from coxtraces import classes, cli, roots
+from coxtraces.classes import count
 from coxtraces.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +92,44 @@ def test_matrix_free_brute_force_is_refused(capsys):
     assert "closed-form" in err
 
 
+def test_decagon_is_enumerated(capsys):
+    code, out, _ = _run(capsys, "count", "I2(10)", "--strategy", "brute",
+                        "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["T"], payload["S"], payload["order"]) == (5, 5, 20)
+    assert payload["method"] == "brute_force"
+
+
+@pytest.fixture
+def no_root_systems(monkeypatch):
+    """Make build_system fail, under every name it is imported by."""
+    def refuse(factors):
+        raise AssertionError("build_system called")
+    for module in (roots, classes, cli):
+        monkeypatch.setattr(module, "build_system", refuse)
+
+
+def test_closed_form_route_builds_no_root_system(capsys, no_root_systems):
+    result = count("A200+D200+E8")
+    product = count("A200") * count("D200") * count("E8")
+    assert result.pair() == product.pair()
+    assert result.method == "composed"
+    # 2001 letters: about 4 million roots, were they built
+    code, out, _ = _run(capsys, "count", "A2000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["T"] > 0
+    code, out, _ = _run(capsys, "verify", "theorems", "--trials", "4")
+    assert code == 0
+    assert out.count("PASS") == len(out.strip().splitlines())
+
+
+def test_brute_refusal_comes_before_any_root(capsys, no_root_systems):
+    code, _, err = _run(capsys, "count", "A30", "--strategy", "brute")
+    assert code == 3
+    assert "930 roots" in err
+
+
 def test_heavy_group_needs_flag(capsys):
     code, _, err = _run(capsys, "count", "E7", "--strategy", "brute")
     assert code == 3
@@ -122,6 +162,9 @@ def test_classes_report(capsys):
 @pytest.mark.parametrize("spec, fmt, golden", [
     ("H3", "json", "classes_H3.json"),
     ("B3", "markdown", "classes_B3.md"),
+    ("F4", "markdown", "classes_F4.md"),
+    ("E6", "markdown", "classes_E6.md"),
+    ("B2+I2(5)+A0", "csv", "classes_B2+I2(5)+A0.csv"),
 ])
 def test_class_report_matches_golden_text(capsys, spec, fmt, golden):
     # det and char_poly of every class, byte for byte
@@ -139,6 +182,9 @@ def test_table_json_fixture(capsys):
     by_label4 = {row["system"]: row for row in payload["section4"]}
     assert (by_label3["E8"]["T"], by_label3["E8"]["S"]) == (30, 30)
     assert by_label3["E8"]["method"] == "closed_form"
+    # the decagon has a Cartan matrix over Z[phi], so it is cross-checked
+    assert by_label3["I2(10)"]["method"] == "closed_form=brute"
+    assert by_label3["I2(12)"]["method"] == "closed_form"
     assert (by_label4["E6"]["T"], by_label4["E6"]["S"]) == (5, 9)
     assert (by_label4["A0"]["T"], by_label4["A0"]["S"]) == (0, 1)
     for row in payload["section3"]:
@@ -175,7 +221,7 @@ def test_cache_warm_list_count_clear(capsys, tmp_path):
 
     code, out, _ = _run(capsys, "cache", "list", "--cache-dir", cache)
     assert code == 0
-    assert "F4  order=1152" in out and "version=1" in out
+    assert "F4  order=1152" in out and "version=2" in out
 
     code, out, _ = _run(capsys, "count", "F4", "--strategy", "brute",
                         "--cache-dir", cache, "--format", "json")
@@ -229,6 +275,30 @@ def test_corrupt_cache_is_an_io_error(capsys, tmp_path):
                         "--cache-dir", str(cache))
     assert code == 4
     assert "does not match" in err
+
+
+def test_every_corrupted_element_of_a_cache_is_refused(capsys, tmp_path):
+    # reversing any one of the 48 stored permutations of W(B3) must exit 4,
+    # never crash or print a wrong count
+    cache = tmp_path / "b3"
+    _run(capsys, "cache", "warm", "B3", "--cache-dir", str(cache))
+    raw = (cache / "B3.grp").read_bytes()
+    for at in range(len(raw) - 48 * 18, len(raw), 18):   # 18 roots each
+        (cache / "B3.grp").write_bytes(
+            raw[:at] + raw[at:at + 18][::-1] + raw[at + 18:])
+        code, out, err = _run(capsys, "count", "B3", "--strategy", "brute",
+                              "--cache-dir", str(cache))
+        assert (code, out) == (4, "") and "digest" in err, at
+
+
+def test_cache_of_another_system_is_refused(capsys, tmp_path):
+    cache = tmp_path / "c"
+    _run(capsys, "cache", "warm", "B2", "--cache-dir", str(cache))
+    (cache / "B2.grp").rename(cache / "A2.grp")
+    code, _, err = _run(capsys, "count", "A2", "--strategy", "brute",
+                        "--cache-dir", str(cache))
+    assert code == 4
+    assert "holds B2, not A2" in err
 
 
 def test_unwritable_cache_dir_is_an_io_error(capsys, tmp_path):

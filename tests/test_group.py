@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 
@@ -13,14 +14,14 @@ from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
                              contains_minus_identity, generate_group, inverse,
                              load_group, save_group, shared_group, to_matrix)
 from coxtraces.linalg import Matrix
-from coxtraces.roots import reflection_matrix, system_from_spec
+from coxtraces.roots import system_from_spec
 
 KNOWN_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120,
     "B2": 8, "B3": 48, "B4": 384,
     "D4": 192, "D5": 1920,
     "F4": 1152, "G2": 12, "H3": 120,
-    "I2(3)": 6, "I2(4)": 8, "I2(5)": 10, "I2(6)": 12,
+    "I2(3)": 6, "I2(4)": 8, "I2(5)": 10, "I2(6)": 12, "I2(10)": 20,
 }
 
 
@@ -102,32 +103,34 @@ def test_matrices_form_a_representation():
     for _ in range(25):
         i = rng.randrange(group.order)
         j = rng.randrange(group.order)
-        left = group.matrix_of(group.compose_ids(i, j))
-        right = group.matrix_of(i) * group.matrix_of(j)
+        left = group.span_matrix_of(group.compose_ids(i, j))
+        right = group.span_matrix_of(i) * group.span_matrix_of(j)
         assert left == right
 
 
 def test_generator_matrices_equal_literal_reflections():
-    system = system_from_spec("B3")
-    group = shared_group(system)
-    for i in system.simple_root_indices:
-        gid = group.reflection_id(i)
-        assert group.matrix_of(gid) == reflection_matrix(system.roots[i])
+    # s_k(alpha_j) = alpha_j - a_kj alpha_k: the identity with row k
+    # replaced by e_k - (row k of the Cartan matrix)
+    for label in ("B3", "H3", "I2(10)"):
+        system = system_from_spec(label)
+        group = shared_group(system)
+        identity = Matrix.identity(system.rank).rows
+        for k, g in enumerate(group.generators):
+            rows = list(identity)
+            rows[k] = tuple(e - a for e, a in zip(identity[k], system.cartan[k]))
+            assert g.matrix() == Matrix(rows), (label, k)
 
 
 def test_matrices_preserve_the_gram_form():
-    # A2 spans only a plane inside its ambient space; the span-basis
-    # matrices must still preserve the inner product expressed in that basis
-    system = system_from_spec("A2")
-    group = shared_group(system)
-    basis_ids, coords, full_rank, _ = group._basis()
-    assert not full_rank
-    from coxtraces.linalg import dot
-    basis = [system.roots[i] for i in basis_ids]
-    gram = Matrix(tuple(tuple(dot(u, v) for v in basis) for u in basis))
-    for i in range(group.order):
-        m = group.span_matrix_of(i)
-        assert m.transpose() * gram * m == gram
+    # a symmetric Cartan matrix is a multiple of the Gram matrix of the
+    # simple roots, so every element preserves it
+    for label in ("A2", "H3", "I2(5)"):
+        system = system_from_spec(label)
+        group = shared_group(system)
+        form = Matrix(system.cartan)
+        for i in range(group.order):
+            m = group.span_matrix_of(i)
+            assert m.transpose() * form * m == form, label
 
 
 def test_minus_identity_detection_matches_classification():
@@ -180,31 +183,47 @@ def test_cache_rejects_corruption(tmp_path):
     with pytest.raises(CacheFormatError):
         load_group(path)
     # after the 8-byte header and the label "A2": root count (4 bytes),
-    # order (8), generator count (2), then one 4-byte id per generator
+    # order (8), generator count (2), one 4-byte id per generator, then
+    # the 32-byte payload digest
     for bad in (raw[:14] + struct.pack("<Q", 3) + raw[22:],   # order != |W|
                 raw[:-1],                                    # short payload
                 raw + b"\x00",                               # long payload
-                raw[:24] + struct.pack("<I", 6) + raw[28:]):  # id >= order
+                raw[:24] + struct.pack("<I", 6) + raw[28:],   # id >= order
+                raw[:40] + bytes([raw[40] ^ 1]) + raw[41:],   # bad digest
+                raw[:-6] + raw[-6:][::-1]):                  # bad payload
         path.write_bytes(bad)
         with pytest.raises(CacheFormatError):
             load_group(path)
 
 
-# A2 as saved when the format still had 2- and 4-byte widths; the header
-# layout is unchanged, so such files still load
+def test_cache_checks_what_the_digest_cannot(tmp_path):
+    group = generate_group(system_from_spec("A2"))
+    path = tmp_path / "a2.grp"
+    save_group(group, path)
+    head = path.read_bytes()[:-32 - 6 * 6]   # the header before the digest
+    perms, g = list(group.perms), group.generator_ids[0]
+    # a generator that is not s_0, and an element stored twice, each with
+    # a digest that matches
+    for k, perm, message in ((g, perms[g][::-1], "simple reflections"),
+                             (5, perms[0], "repeats")):
+        payload = b"".join(perms[:k] + [perm] + perms[k + 1:])
+        path.write_bytes(head + hashlib.sha256(payload).digest() + payload)
+        with pytest.raises(CacheFormatError, match=message):
+            load_group(path)
+
+
+# A2 as saved by cache format version 1, whose roots were ambient vectors
+# in another order; its permutations mean nothing under the current roots
 _A2_CACHE_V1 = bytes.fromhex(
     "43584743010102004132060000000600000000000000020001000000020000000001"
     "02030405010003020504020400050103040205000301030501040002050304010200")
 
 
-def test_cache_written_by_version_1_loads(tmp_path):
+def test_cache_written_by_version_1_is_refused(tmp_path):
     path = tmp_path / "a2.grp"
     path.write_bytes(_A2_CACHE_V1)
-    loaded = load_group(path)
-    fresh = generate_group(system_from_spec("A2"))
-    assert loaded.system.label == "A2"
-    assert list(loaded.perms) == list(fresh.perms)
-    assert loaded.generator_ids == fresh.generator_ids
+    with pytest.raises(CacheFormatError, match="version 1, expected 2"):
+        load_group(path)
 
 
 def test_shared_group_memoizes():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from coxtraces.field import GOLDEN, ONE, ZERO, FieldElement
 from coxtraces.group import generate_group
 from coxtraces.linalg import (Matrix, dot, lagrange_interpolate, poly_eval,
-                              poly_mul, poly_str, solve_in_basis, span_rank)
+                              poly_mul, poly_str)
 from coxtraces.roots import system_from_spec
 
 
@@ -136,28 +136,3 @@ def test_poly_str_rendering():
     assert poly_str((_f(1), _f(2), _f(1))) == "t^2 + 2*t + 1"
     assert poly_str((ZERO,)) == "0"
     assert poly_str((GOLDEN, ONE)) == "t + (1/2+1/2*sqrt5)"
-
-
-def test_span_rank():
-    vectors = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ONE, ONE, ZERO)]
-    assert span_rank(vectors) == 2
-    assert span_rank([]) == 0
-
-
-def test_solve_in_basis_roundtrip():
-    basis = [(ONE, ZERO, ZERO), (ONE, ONE, ZERO)]
-    target = (_f(3), _f(2), ZERO)
-    coords = solve_in_basis(basis, [target])[0]
-    assert coords == (_f(1), _f(2))
-
-
-def test_solve_in_basis_rejects_outside_span():
-    basis = [(ONE, ZERO, ZERO)]
-    with pytest.raises(ValueError):
-        solve_in_basis(basis, [(ZERO, ONE, ZERO)])
-
-
-def test_solve_in_basis_rejects_dependent_basis():
-    basis = [(ONE, ZERO), (ONE, ZERO)]
-    with pytest.raises(ValueError):
-        solve_in_basis(basis, [(ONE, ZERO)])

@@ -1,16 +1,18 @@
-"""Root system construction, parsing, and validation."""
+"""Root system construction and parsing, against the ambient oracle."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
-from coxtraces.field import ONE, ZERO, FieldElement
-from coxtraces.linalg import Matrix, dot, vneg
+from ambient_oracle import ambient_roots, axiom_problems, cartan, simple_roots
+from coxtraces.field import GOLDEN, ONE, ZERO
+from coxtraces.group import generate_group, shared_group
+from coxtraces.linalg import Matrix, dot, vadd, vneg, vscale
 from coxtraces.roots import (Factor, SpecParseError, build_irreducible,
                              build_system, direct_sum, parse_factor,
-                             parse_system_spec, reflect, reflection_matrix,
-                             root_permutation, system_from_spec,
-                             validate_root_system)
+                             parse_system_spec, system_from_spec)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A5": 30,
@@ -18,20 +20,27 @@ ROOT_COUNTS = {
     "D4": 24, "D5": 40,
     "E6": 72, "E7": 126, "E8": 240,
     "F4": 48, "G2": 12, "H3": 30, "H4": 120,
-    "I2(3)": 6, "I2(4)": 8, "I2(5)": 10, "I2(6)": 12,
+    "I2(3)": 6, "I2(4)": 8, "I2(5)": 10, "I2(6)": 12, "I2(10)": 20,
 }
 
 RANKS = {
     "A1": 1, "A2": 2, "A5": 5, "B3": 3, "D4": 4, "E6": 6, "E7": 7,
     "E8": 8, "F4": 4, "G2": 2, "H3": 3, "H4": 4,
-    "I2(3)": 2, "I2(4)": 2, "I2(5)": 2, "I2(6)": 2,
+    "I2(3)": 2, "I2(4)": 2, "I2(5)": 2, "I2(6)": 2, "I2(10)": 2,
 }
+
+# every system with a vector model, ranks up to 8 for A, B and D
+ORACLE_LABELS = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                 + [f"D{n}" for n in range(2, 9)]
+                 + ["E6", "E7", "E8", "F4", "G2", "H3", "H4",
+                    "I2(3)", "I2(4)", "I2(5)", "I2(6)"])
 
 
 def test_root_counts():
     for label, expected in ROOT_COUNTS.items():
         system = system_from_spec(label)
         assert len(system.roots) == expected, label
+        assert parse_factor(label).root_count == expected, label
 
 
 def test_ranks():
@@ -41,23 +50,80 @@ def test_ranks():
         assert len(system.simple_root_indices) == expected, label
 
 
+def test_simple_roots_are_the_unit_vectors():
+    system = system_from_spec("B3+H3")
+    for k, i in enumerate(system.simple_root_indices):
+        assert system.roots[i] == tuple(int(j == k) for j in range(6))
+
+
+@lru_cache(maxsize=None)
+def _oracle(label):
+    """The oracle's simple roots for one system, found by its own search."""
+    return tuple(simple_roots(ambient_roots(label)))
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_cartan_matrix_matches_the_ambient_oracle(label):
+    # entry for entry and in the same node order, so that the generators,
+    # element ids and class order are those of the ambient model
+    assert cartan(_oracle(label)) == [list(row) for row in
+                                      system_from_spec(label).cartan]
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_roots_match_the_ambient_oracle(label):
+    # sum_i c_i alpha_i over the library's roots c gives the oracle's roots
+    simple = _oracle(label)
+    image = set()
+    for coords in system_from_spec(label).roots:
+        vector = (ZERO,) * len(simple[0])
+        for c, alpha in zip(coords, simple):
+            vector = vadd(vector, vscale(c, alpha))
+        image.add(vector)
+    assert image == set(ambient_roots(label))
+
+
+def _symmetrizer(c, d0):
+    """d with d_i a_ij = d_j a_ji, spread from d_0 along the diagram."""
+    d = {0: d0}
+    while len(d) < len(c):
+        i, j = next((i, j) for i in d for j in range(len(c))
+                    if j not in d and not c[i][j].is_zero)
+        d[j] = d[i] * c[i][j] / c[j][i]
+    return [d[i] for i in range(len(c))]
+
+
+@pytest.mark.parametrize("label", [x for x in ORACLE_LABELS if x != "D2"])
+def test_gram_matrix_is_the_symmetrized_cartan_matrix(label):
+    # D2 = A1+A1 is left out: its diagram is not connected
+    simple, c = _oracle(label), system_from_spec(label).cartan
+    d = _symmetrizer(c, dot(simple[0], simple[0]) / 2)
+    assert [[d[i] * a for a in row] for i, row in enumerate(c)] == \
+        [[dot(a, b) for b in simple] for a in simple]
+
+
 def test_validation_everywhere():
     for label in ROOT_COUNTS:
-        if label in ("E7", "E8"):
-            continue   # the big exceptional systems get their own tests
-        report = validate_root_system(system_from_spec(label))
-        assert report.ok, f"{label}: {report.problems}"
+        if label in ("E7", "E8", "I2(10)"):
+            continue   # E7 and E8 get their own tests; I2(10) has no model
+        problems = axiom_problems(ambient_roots(label))
+        assert not problems, f"{label}: {problems}"
 
 
 def test_validation_e7():
-    report = validate_root_system(system_from_spec("E7"))
-    assert report.ok, report.problems
+    assert not axiom_problems(ambient_roots("E7"))
 
 
 @pytest.mark.heavy
 def test_validation_e8():
-    report = validate_root_system(system_from_spec("E8"))
-    assert report.ok, report.problems
+    assert not axiom_problems(ambient_roots("E8"))
+
+
+def test_cartan_build_refuses_a_wrong_root_count(monkeypatch):
+    # a Cartan matrix whose closure is not |R| of its factor
+    monkeypatch.setattr(Factor, "root_count", property(lambda self: 7))
+    with pytest.raises(RuntimeError, match="expected 7"):
+        build_irreducible(Factor("A", 2))
 
 
 def test_parse_factor_families():
@@ -114,17 +180,22 @@ def test_noncanonical_low_rank_d():
 def test_matrix_model_availability():
     assert Factor("I", 5).has_matrix_model
     assert Factor("I", 6).has_matrix_model
+    assert Factor("I", 10).has_matrix_model
     assert not Factor("I", 7).has_matrix_model
+    assert not Factor("I", 8).has_matrix_model
     assert not Factor("I", 30).has_matrix_model
     assert Factor("H", 4).has_matrix_model
 
 
-def test_dihedral_embeddings_need_extra_dimensions():
-    # the crystallographic dihedrals and the pentagon all need a third axis
-    assert build_irreducible(Factor("I", 3)).dimension == 3
-    assert build_irreducible(Factor("I", 4)).dimension == 2
-    assert build_irreducible(Factor("I", 5)).dimension == 3
-    assert build_irreducible(Factor("I", 6)).dimension == 3
+def test_dihedral_models_are_planar():
+    # in simple-root coordinates every modeled dihedral lives in the plane,
+    # with a_01 a_10 = 4 cos^2(pi/m)
+    products = {3: 1, 4: 2, 5: GOLDEN * GOLDEN, 6: 3, 10: 2 + GOLDEN}
+    for m, product in products.items():
+        system = build_irreducible(Factor("I", m))
+        assert system.rank == 2
+        assert {len(r) for r in system.roots} == {2}
+        assert system.cartan[0][1] * system.cartan[1][0] == product, m
 
 
 def test_matrix_free_shell():
@@ -136,7 +207,7 @@ def test_matrix_free_shell():
 
 def test_empty_system_contributes_a_fixed_line():
     system = build_irreducible(Factor("A", 0))
-    assert system.dimension == 1
+    assert system.rank == 0
     assert system.trivial_dims == 1
     assert system.roots == ()
     assert not system.matrix_free
@@ -146,10 +217,10 @@ def test_direct_sum_bookkeeping():
     left = system_from_spec("B2")
     right = system_from_spec("A2")
     total = direct_sum(left, right)
-    assert total.dimension == left.dimension + right.dimension
+    assert total.rank == left.rank + right.rank
     assert len(total.roots) == len(left.roots) + len(right.roots)
     assert total.known_order == left.known_order * right.known_order
-    assert validate_root_system(total).ok
+    assert generate_group(total).order == 8 * 6
 
 
 def test_composite_with_empty_and_free_parts():
@@ -167,29 +238,48 @@ def test_build_system_roundtrip():
     assert len(system.roots) == 2 + 12
 
 
+def test_direct_sum_validates():
+    # the roots of a sum are those of its factors, padded with zeros
+    for spec in ("A3+I2(5)", "B3+A1", "D4+B2", "G2+A2+A1"):
+        system, at = system_from_spec(spec), 0
+        for factor in system.factors:
+            block = build_irreducible(factor)
+            pad = (ZERO,) * at, (ZERO,) * (system.rank - at - block.rank)
+            assert {pad[0] + r + pad[1] for r in block.roots} <= \
+                set(system.roots), spec
+            at += block.rank
+        assert sum(len(system_from_spec(f).roots)
+                   for f in spec.split("+")) == len(system.roots)
+
+
 def test_reflection_fixes_orthogonal_and_negates_root():
     system = system_from_spec("B3")
-    for i in system.simple_root_indices:
-        v = system.roots[i]
-        assert reflect(v, v) == vneg(v)
-        m = reflection_matrix(v)
+    group = shared_group(system)
+    for k, (i, perm) in enumerate(zip(system.simple_root_indices,
+                                      system.simple_reflections)):
+        assert system.roots[perm[i]] == vneg(system.roots[i])
+        # beta is orthogonal to alpha_k exactly when sum_j a_kj beta_j = 0
+        for b, beta in enumerate(system.roots):
+            if sum((a * c for a, c in zip(system.cartan[k], beta)),
+                   ZERO).is_zero:
+                assert perm[b] == b
+        m = group.generators[k].matrix()
         assert m * m == Matrix.identity(3)
         assert m.det() == -ONE
 
 
 def test_reflect_permutes_the_root_set():
-    for label in ("A2", "B3", "G2", "H3", "I2(5)"):
+    for label in ("A2", "B3", "G2", "H3", "I2(5)", "I2(10)", "D4+A1"):
         system = system_from_spec(label)
-        root_set = set(system.roots)
-        for v in system.roots:
-            assert {reflect(x, v) for x in root_set} == root_set
+        identity = bytes(range(len(system.roots)))
+        for perm in system.simple_reflections:   # involutions, so bijections
+            assert perm.translate(perm.ljust(256, b"\0")) == identity, label
 
 
 def test_root_permutation_is_a_permutation():
     system = system_from_spec("H3")
     n = len(system.roots)
-    for i in system.simple_root_indices:
-        perm = root_permutation(system, system.roots[i])
+    for perm in system.simple_reflections:
         assert sorted(perm) == list(range(n))
 
 
@@ -200,19 +290,19 @@ def test_roots_come_in_opposite_pairs():
         assert index[vneg(root)] != index[root]
 
 
-def test_direct_sum_validates():
-    for spec in ("A3+I2(5)", "B3+A1", "D4+B2", "G2+A2+A1"):
-        assert validate_root_system(system_from_spec(spec)).ok, spec
-
-
 def test_highest_h3_root_reflection_has_golden_entries():
-    # one H3 root is (1, k, k-1)/2 up to scale; its reflection matrix is
-    # rational only in the golden ratio, exercising the quadratic field
+    # the highest H3 root has golden coordinates in the simple basis; the
+    # reflection in it, w s_i w^-1 for w sending alpha_i to it, has a
+    # matrix that is rational only in the golden ratio
     system = system_from_spec("H3")
-    golden_roots = [r for r in system.roots
-                    if not all(c.is_rational for c in r)]
-    assert golden_roots
-    m = reflection_matrix(golden_roots[0])
+    group = shared_group(system)
+    top = max(range(len(system.roots)), key=lambda r: sum(system.roots[r]))
+    assert not all(c.is_rational for c in system.roots[top])
+    w = next(w for w in range(group.order)
+             if group.perms[w][system.simple_root_indices[0]] == top)
+    s0 = group.generator_ids[0]
+    m = group.span_matrix_of(group.compose_ids(group.compose_ids(w, s0),
+                                               group.inverse_id(w)))
     assert m * m == Matrix.identity(3)
     assert m.det() == -ONE
     assert not all(entry.is_rational for row in m.rows for entry in row)
