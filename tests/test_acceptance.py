@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,9 @@ def test_criterion_4_ordering_theorem_random_suite():
         failures = [line.render() for line in result.lines if not line.ok]
         assert not failures, failures
         assert len(result.lines) == 50
+        golden = Path(__file__).parent / "golden" / "inequality_suite_50_7.txt"
+        assert [line.render() for line in result.lines] == \
+            golden.read_text().splitlines()
         # the draw pool must actually exercise multi-factor systems
         rng = random.Random(7)
         sizes = {len(random_composite_factors(rng)) for _ in range(50)}

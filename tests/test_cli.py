@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -173,6 +174,12 @@ def test_class_report_matches_golden_text(capsys, spec, fmt, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_table_all_matches_golden_text(capsys):
+    code, out, _ = _run(capsys, "table", "all")
+    assert code == 0
+    assert out == (GOLDEN / "table_all.md").read_text()
+
+
 def test_table_json_fixture(capsys):
     code, out, _ = _run(capsys, "table", "all", "--format", "json")
     assert code == 0
@@ -317,3 +324,16 @@ def test_cache_hit_matches_cold_run(capsys, tmp_path):
     _, warm, _ = _run(capsys, "count", "B3", "--strategy", "brute",
                       "--cache-dir", cache)
     assert cold == warm
+
+
+@pytest.mark.parametrize("spec, name", [("H3", "H3.grp"),
+                                        ("B2+I2(5)+A0", "B2_I25_A0.grp")])
+def test_cache_version_2_files_of_earlier_releases_load(capsys, tmp_path, spec, name):
+    # files written by an earlier release of format version 2: the root
+    # order, and so every stored permutation, must still be the same
+    shutil.copy(GOLDEN / "cache_v2" / name, tmp_path / name)
+    assert Path(cli._cache_path(str(tmp_path), spec)).name == name
+    for argv in (("count", spec, "--strategy", "brute"), ("classes", spec)):
+        cold = _run(capsys, *argv)
+        warm = _run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert cold[:2] == warm[:2] and cold[0] == 0
