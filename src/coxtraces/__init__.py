@@ -5,22 +5,21 @@ conjugacy class contributes an independent trace invariant exactly when
 its elements have no eigenvalue +1, and an independent supertrace
 invariant exactly when they have no eigenvalue -1.  This package counts
 both kinds of class for any finite root system, either by enumerating
-the group and its conjugacy classes exactly (rational arithmetic over
-Q(sqrt 5)) or by closed-form combinatorics, and cross-checks the two
+the group and its conjugacy classes exactly (integer arithmetic over
+Z[2cos(pi/N)]) or by closed-form combinatorics, and cross-checks the two
 routes against each other.
 """
 
 from __future__ import annotations
 
 from .field import GOLDEN, HALF, ONE, SQRT5, ZERO, FieldElement
-from .linalg import Matrix, dot, lagrange_interpolate, poly_eval, poly_mul, poly_str
+from .linalg import Matrix, Ring, dot, poly_eval, poly_mul, poly_str
 from .roots import (Factor, RootSystem, SpecParseError, build_irreducible,
                     build_system, cartan_matrix, parse_factor,
                     parse_system_spec, system_from_spec)
 from .group import (DEFAULT_BUDGET, HEAVY_THRESHOLD, BudgetExceededError,
-                    CacheFormatError, Group, GroupElement,
-                    MatrixFreeSystemError, generate_group, load_group,
-                    save_group, shared_group)
+                    CacheFormatError, Group, GroupElement, generate_group,
+                    load_group, save_group, shared_group)
 from .partitions import (DihedralClassSummary, LemmaVerdict, SignedCycleType,
                          TraceCount, bn_dn_class_enumeration,
                          bn_dn_trace_counts, closed_form_count,
@@ -33,23 +32,21 @@ from .partitions import (DihedralClassSummary, LemmaVerdict, SignedCycleType,
 from .classes import (ConjugacyClass, FactorMinusIdentity, InequalityVerdict,
                       conjugacy_classes, count, count_brute_force,
                       has_eigenvalue, verify_inequality_theorem)
-from .models import (H3Generators, H3TableVerdict, H4CensusVerdict, Quaternion,
+from .models import (H3Generators, H3TableVerdict, H4CensusVerdict,
                      build_h3_generators, h3_charpoly_table_check,
-                     h4_class_census, lr_action_matrix,
-                     lr_fixed_point_criterion, star_action_matrix,
-                     unit_icosians)
+                     h4_class_census)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FieldElement", "ZERO", "ONE", "HALF", "SQRT5", "GOLDEN",
-    "Matrix", "dot", "lagrange_interpolate", "poly_eval", "poly_mul",
+    "Matrix", "Ring", "dot", "poly_eval", "poly_mul",
     "poly_str",
     "Factor", "RootSystem", "SpecParseError", "build_irreducible",
     "build_system", "cartan_matrix", "parse_factor", "parse_system_spec",
     "system_from_spec",
     "Group", "GroupElement", "BudgetExceededError", "CacheFormatError",
-    "MatrixFreeSystemError", "DEFAULT_BUDGET", "HEAVY_THRESHOLD",
+    "DEFAULT_BUDGET", "HEAVY_THRESHOLD",
     "generate_group", "shared_group", "save_group", "load_group",
     "TraceCount", "SignedCycleType", "LemmaVerdict", "DihedralClassSummary",
     "closed_form_count", "partition_count", "partitions_odd_parts",
@@ -60,8 +57,6 @@ __all__ = [
     "ConjugacyClass", "FactorMinusIdentity", "InequalityVerdict",
     "conjugacy_classes", "count", "count_brute_force", "has_eigenvalue",
     "verify_inequality_theorem",
-    "Quaternion", "H3Generators", "H3TableVerdict", "H4CensusVerdict",
-    "unit_icosians", "build_h3_generators", "lr_action_matrix",
-    "star_action_matrix", "lr_fixed_point_criterion",
-    "h3_charpoly_table_check", "h4_class_census",
+    "H3Generators", "H3TableVerdict", "H4CensusVerdict",
+    "build_h3_generators", "h3_charpoly_table_check", "h4_class_census",
 ]

@@ -2,11 +2,11 @@
 
 The brute-force path enumerates classes as orbits under conjugation by
 the group generators and reads eigenvalue membership off the exact
-characteristic polynomial of each class.  The closed-form path
-multiplies the per-factor formulas and works on parsed Factors only:
-it never builds a root system.  Both are exposed through count(), and
-the theorem checker compares the equality case T = S against actual
--identity membership.
+characteristic polynomial of each class, over the system's ring.  The
+closed-form path multiplies the per-factor formulas and works on parsed
+Factors only: it never builds a root system.  Both are exposed through
+count(), and the theorem checker compares the equality case T = S
+against actual -identity membership.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldElement
-from .group import (DEFAULT_BUDGET, HEAVY_THRESHOLD, Group, GroupElement,
+from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
                     check_enumerable, contains_minus_identity, generate_group,
                     shared_group)
-from .linalg import poly_eval, poly_str
+from .linalg import poly_str
 from .partitions import TraceCount, closed_form_count
 from .roots import (RootSystem, build_irreducible, build_system,
                     parse_system_spec, system_label)
@@ -25,7 +25,9 @@ from .roots import (RootSystem, build_irreducible, build_system,
 
 @dataclass
 class ConjugacyClass:
-    """One conjugacy class: representative of minimal id plus invariants."""
+    """One conjugacy class: representative of minimal id plus invariants.
+    The charpoly coefficients are elements of the system's ring, and the
+    determinant is +-1."""
 
     representative: GroupElement
     size: int
@@ -36,14 +38,18 @@ class ConjugacyClass:
 
     @property
     def char_poly_str(self) -> str:
-        return poly_str(self.char_poly)
+        return poly_str(self.char_poly,
+                        text=self.representative.group.system.ring.text)
 
 
 def _eigen_flags(system: RootSystem, char_poly) -> tuple:
-    """(has +1, has -1) from det(tI - M) at t = 1 and t = -1; the
-    rootless directions of A0 factors add eigenvalue +1."""
-    plus = poly_eval(char_poly, 1).is_zero or system.trivial_dims > 0
-    minus = poly_eval(char_poly, -1).is_zero
+    """(has +1, has -1) from det(tI - M) at t = 1 and t = -1, coordinate
+    by coordinate in the ring; the rootless directions of A0 factors add
+    eigenvalue +1."""
+    coords = list(zip(*char_poly))
+    plus = not any(sum(c) for c in coords) or system.trivial_dims > 0
+    minus = not any(sum(x if k % 2 == 0 else -x for k, x in enumerate(c))
+                    for c in coords)
     return plus, minus
 
 
@@ -79,9 +85,13 @@ def conjugacy_classes(group: Group, check_all_members: bool = False):
                 if flags != (plus, minus):
                     raise RuntimeError(
                         f"eigen flags are not a class function at id {m}")
-        det = char_poly[0] if span.nrows % 2 == 0 else -char_poly[0]
+        c0 = char_poly[0]
+        if abs(c0[0]) != 1 or any(c0[1:]):
+            raise RuntimeError(f"det(-M) = {system.ring.text(c0)} is not "
+                               f"+-1 for class of id {seed}")
         out.append(ConjugacyClass(GroupElement(group, seed), len(members),
-                                  det, char_poly, plus, minus))
+                                  FieldElement(c0[0] * (-1) ** span.nrows),
+                                  char_poly, plus, minus))
     total = sum(c.size for c in out)
     if total != group.order:
         raise RuntimeError(f"classes cover {total} of {group.order} elements")
@@ -164,27 +174,26 @@ def verify_inequality_theorem(system_or_spec, budget: int = DEFAULT_BUDGET,
                               heavy: bool = False) -> InequalityVerdict:
     """Check S > 0, T <= S, and T = S exactly when -identity is in the group.
 
-    -identity membership is established by actually enumerating the
-    factor group whenever a vector model exists within the enumeration
-    allowance; only factors beyond it fall back to the classification
-    table.  The composite system's roots are never built.
+    -identity membership is established by actually enumerating each
+    factor group that check_enumerable lets through; only the factors it
+    refuses fall back to the degree table.  The composite system's roots
+    are never built.
     """
     factors = _factors_of(system_or_spec)
     counts = count(factors, strategy="closed")
-    limit = budget if heavy else min(budget, HEAVY_THRESHOLD)
     factor_results = []
     minus = True
     for factor in factors:
-        if factor.has_matrix_model and factor.order <= limit:
+        try:
+            check_enumerable((factor,), budget, heavy)
+        except BudgetExceededError:
+            present, method = factor.contains_minus_identity, "table"
+        else:
             group = shared_group(build_irreducible(factor), budget=budget,
                                  heavy=heavy)
-            present = contains_minus_identity(group)
-            factor_results.append(FactorMinusIdentity(factor.label, "engine",
-                                                      present))
-        else:
-            present = factor.contains_minus_identity
-            factor_results.append(FactorMinusIdentity(factor.label, "table",
-                                                      present))
+            present, method = contains_minus_identity(group), "engine"
+        factor_results.append(FactorMinusIdentity(factor.label, method,
+                                                  present))
         minus = minus and present
     t, s = counts.pair()
     return InequalityVerdict(

@@ -3,7 +3,10 @@
 Commands: count, classes, table, verify, cache.  Output is byte-stable
 for fixed inputs (timing goes to stderr), so runs can be diffed.  Exit
 codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration budget refused, 4 I/O problem.
+3 enumeration refused (root limit, ring limit, budget or heavy
+threshold), 4 I/O problem.  Class reports print charpoly coefficients
+in the forms of coxtraces.linalg.Ring.text and Ring.as_json, which
+depend only on the system's ring index N.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 
 from .classes import conjugacy_classes, count, count_brute_force
 from .group import (CACHE_VERSION, DEFAULT_BUDGET, BudgetExceededError,
-                    CacheFormatError, MatrixFreeSystemError, check_enumerable,
-                    generate_group, load_group, save_group)
+                    CacheFormatError, check_enumerable, generate_group,
+                    load_group, save_group)
 from .partitions import closed_form_count
 from .roots import (Factor, SpecParseError, build_irreducible, build_system,
                     parse_system_spec, system_label, system_order)
@@ -171,6 +174,7 @@ def cmd_classes(args) -> int:
     header = ("class", "size", "det", "char_poly", "has_plus_one", "has_minus_one")
     rows = []
     payload = []
+    ring = group.system.ring
     for i, cls in enumerate(classes):
         rows.append((str(i), str(cls.size), str(cls.det), cls.char_poly_str,
                      "yes" if cls.has_plus_one else "no",
@@ -178,7 +182,7 @@ def cmd_classes(args) -> int:
         payload.append({"class": i, "size": cls.size,
                         "det": cls.det.to_int_tuple(),
                         "char_poly": cls.char_poly_str,
-                        "char_poly_coeffs": [c.to_int_tuple()
+                        "char_poly_coeffs": [ring.as_json(c)
                                              for c in cls.char_poly],
                         "has_plus_one": cls.has_plus_one,
                         "has_minus_one": cls.has_minus_one})
@@ -211,8 +215,7 @@ def _section4_factors():
 def _table_row(factor: Factor, budget: int) -> ReportRow:
     result = closed_form_count(factor)
     method = "closed_form"
-    if factor.has_matrix_model and factor.order <= min(_TABLE_CROSSCHECK_CAP,
-                                                       budget):
+    if factor.order <= min(_TABLE_CROSSCHECK_CAP, budget):
         brute = count_brute_force(generate_group(build_irreducible(factor),
                                                  budget=budget))
         if brute.pair() != result.pair():  # cannot happen; belt and braces
@@ -389,7 +392,7 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExceededError, MatrixFreeSystemError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CacheFormatError as exc:

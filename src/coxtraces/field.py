@@ -1,7 +1,8 @@
 """Exact arithmetic in the quadratic field of rationals extended by sqrt(5).
 
-Every root coordinate, matrix entry and quaternion component in this
-package is a FieldElement, so all linear algebra downstream stays exact.
+The published rank-3 generator matrices are FieldElements, and so are
+the printed class invariants of systems over the integers or Z[phi];
+roots and group matrices use the integer ring of coxtraces.linalg.
 The rational parts are stdlib Fractions (arbitrary precision, always in
 lowest terms with positive denominator).
 """

@@ -7,11 +7,13 @@ the root system computes from its Cartan matrix.  Ids are dense and
 follow discovery order, which is deterministic: the BFS walks the
 generators in simple-root order, layer by layer.
 
-Roots are coordinate vectors in the simple basis, so the matrix of an
-element on the span of the roots has the images of the simple roots as
-its columns; no other matrix model exists.  Whether a system can be
-enumerated at all is decided from the factor formulas (check_enumerable)
-before any root is built.
+Roots are coordinate vectors in the simple basis over the system's ring
+Z[2cos(pi/N)], so the matrix of an element on the span of the roots has
+the images of the simple roots as its columns; no other matrix model
+exists.  Every finite Coxeter group has such a model.  Whether a system
+is enumerated at all is decided from the factor formulas
+(check_enumerable) before any root is built: the limits are 256 roots,
+N <= 128, the budget and the heavy threshold.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import os
 import struct
 from dataclasses import dataclass
 
-from .linalg import Matrix, vneg
+from .linalg import Matrix
 from .roots import (RootSystem, closure, orbits, parse_system_spec,
-                    system_from_spec, system_label, system_order)
+                    ring_index, system_from_spec, system_label, system_order)
 
 DEFAULT_BUDGET = 10_000_000
 # enumerations past this order (W(E7), D8, A9, ...) must be asked for explicitly
@@ -31,6 +33,9 @@ HEAVY_THRESHOLD = 1_000_000
 _E8_ORDER = 696_729_600
 
 _MAX_ROOTS = 256  # one byte per root
+# the widest coordinate ring, Z[2cos(pi/128)] of degree 64; every single
+# I2(m) within the root limit needs N <= 127
+_MAX_RING_INDEX = 128
 
 _CACHE_MAGIC = b"CXGC"
 CACHE_VERSION = 2
@@ -38,10 +43,6 @@ CACHE_VERSION = 2
 
 class BudgetExceededError(RuntimeError):
     """Requested enumeration is larger than the configured budget allows."""
-
-
-class MatrixFreeSystemError(RuntimeError):
-    """The system has no vector model; use the closed-form counting path."""
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,10 @@ class Group:
         This is the space on which eigenvalues are counted; for A-type
         factors it has no fixed all-ones direction, as required.
         """
-        perm, roots = self.perms[i], self.system.roots
-        return Matrix.from_columns([roots[perm[b]]
-                                    for b in self.system.simple_root_indices])
+        perm, system = self.perms[i], self.system
+        return Matrix.from_columns([system.roots[perm[b]]
+                                    for b in system.simple_root_indices],
+                                   system.ring)
 
     # -- classes -----------------------------------------------------------------
 
@@ -159,20 +161,20 @@ def to_matrix(g: GroupElement) -> Matrix:
 def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
                      heavy: bool = False, allow_e8: bool = False) -> None:
     """Refuse, from the factor formulas alone, what generate_group cannot
-    or should not enumerate: matrix-free factors, more than 256 roots,
-    anything above the budget and, unless explicitly unlocked, W(E8) and
-    orders past the heavy threshold."""
+    or should not enumerate: more than 256 roots, a coordinate ring
+    Z[2cos(pi/N)] with N > 128, anything above the budget and, unless
+    explicitly unlocked, W(E8) and orders past the heavy threshold."""
     label = system_label(factors)
-    free = [f.label for f in factors if not f.has_matrix_model]
-    if free:
-        raise MatrixFreeSystemError(
-            f"{label} has no exact vector model (factors {', '.join(free)}); "
-            "use the closed-form counting path")
     n = sum(f.root_count for f in factors)
     if n > _MAX_ROOTS:
         raise BudgetExceededError(
             f"{label} has {n} roots; enumeration stores one byte per "
             f"root, so it is limited to {_MAX_ROOTS} roots")
+    index = ring_index(factors)
+    if index > _MAX_RING_INDEX:
+        raise BudgetExceededError(
+            f"{label} needs coordinates in Z[2cos(pi/{index})]; enumeration "
+            f"is limited to N <= {_MAX_RING_INDEX}")
     estimate = system_order(factors)
     if any(f.family == "E" and f.n == 8 for f in factors) and not allow_e8:
         raise BudgetExceededError(
@@ -213,7 +215,8 @@ def contains_minus_identity(group: Group) -> bool:
     if system.trivial_dims > 0:
         # directions with no roots are fixed pointwise by every element
         return False
-    neg = bytes(system.root_index[vneg(r)] for r in system.roots)
+    neg = bytes(system.root_index[tuple(map(system.ring.neg, r))]
+                for r in system.roots)
     return neg in group.index
 
 
@@ -297,10 +300,12 @@ def load_group(path) -> Group:
         raise
     except (struct.error, ValueError) as exc:  # truncated, or a bad label
         raise CacheFormatError(f"{path}: unreadable header ({exc})") from exc
-    if (n > _MAX_ROOTS or n != sum(f.root_count for f in factors)
-            or not all(f.has_matrix_model for f in factors)):
+    if n > _MAX_ROOTS or n != sum(f.root_count for f in factors):
         raise CacheFormatError(
             f"{path}: root count {n} does not match the {label} model")
+    if ring_index(factors) > _MAX_RING_INDEX:
+        raise CacheFormatError(f"{path}: {label} is past the ring limit "
+                               f"N <= {_MAX_RING_INDEX}")
     if order != system_order(factors):
         raise CacheFormatError(
             f"{path}: order {order} does not match |W({label})| = "

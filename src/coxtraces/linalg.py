@@ -1,15 +1,23 @@
-"""Exact dense linear algebra over the sqrt(5) field.
+"""Exact dense linear algebra: the coordinate ring Z[eta] and matrices.
 
-Vectors are plain tuples of FieldElement; matrices are immutable
-row-tuples.  Everything here is exact: determinants come from fraction
-Gaussian elimination, and characteristic polynomials from the
-division-free Berkowitz algorithm over the integers Z[phi] after
-clearing denominators.
+Every root coordinate and every entry of a group element's matrix lies
+in Z[eta], eta = 2cos(pi/N), for one integer N per system (Humphreys,
+Reflection Groups and Coxeter Groups, 5.3).  An element is a tuple of d
+integers, its coordinates in the basis 1, eta, ..., eta^(d-1); products
+are reduced by the monic minimal polynomial of eta, of degree d.  N = 1
+gives the plain integers and N = 5 the golden integers x + y*phi.
+
+A Matrix holds either ring elements (and its Ring) or FieldElements of
+Q(sqrt5), as the published fixtures and the test oracle do.  Its
+characteristic polynomial comes from the division-free Berkowitz
+algorithm over the ring; a FieldElement matrix enters it through Z[phi]
+after clearing a common denominator, and so do determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -17,7 +25,138 @@ from .field import ONE, ZERO, FieldElement
 
 Vector = tuple
 
-# -- vector helpers ----------------------------------------------------------
+# -- the coordinate ring -----------------------------------------------------
+
+
+class Ring:
+    """Z[eta] for eta = 2cos(pi/n); its elements are tuples of d integers."""
+
+    def __init__(self, n: int):
+        self.n = n
+        # eta^d = -sum_j low[j] eta^j
+        *self._low, _ = _minimal_polynomial(n)
+        self.d = len(self._low)
+        self.zero = (0,) * self.d
+        self.one = self.integer(1)
+        self.eta = self.reduce([0, 1] + [0] * self.d)
+
+    def integer(self, k: int) -> tuple:
+        return (k,) + (0,) * (self.d - 1)
+
+    def reduce(self, c) -> tuple:
+        """The element sum_k c[k] eta^k, for a list c of at least d integers."""
+        d = self.d
+        for k in range(len(c) - 1, d - 1, -1):
+            top = c[k]
+            if top:
+                for j, m in enumerate(self._low):
+                    c[k - d + j] -= top * m
+        return tuple(c[:d])
+
+    def sub(self, a, b) -> tuple:
+        return tuple(x - y for x, y in zip(a, b))
+
+    def neg(self, a) -> tuple:
+        return tuple(-x for x in a)
+
+    def dot(self, xs, ys) -> tuple:
+        """sum_j xs[j] ys[j] over the shorter length; the products are
+        summed unreduced and reduced once."""
+        acc = [0] * (2 * self.d - 1)
+        for a, b in zip(xs, ys):
+            if any(b):
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b):
+                            acc[i + j] += x * y
+        return self.reduce(acc)
+
+    def mul(self, a, b) -> tuple:
+        return self.dot((a,), (b,))
+
+    def two_cos(self, k: int) -> tuple:
+        """2cos(pi/k), for k = 2, 3 (0 and 1) or k dividing n."""
+        if k in (2, 3):
+            return self.integer(k - 2)
+        if self.n % k:
+            raise ValueError(f"2cos(pi/{k}) is not in Z[2cos(pi/{self.n})]")
+        # 2cos(j pi/n) = V_j(eta): V_0 = 2, V_1 = eta, V_j+1 = eta V_j - V_j-1
+        prev, cur = self.integer(2), self.eta
+        for _ in range(self.n // k - 1):
+            prev, cur = cur, self.sub(self.mul(self.eta, cur), prev)
+        return cur
+
+    def to_field(self, e) -> FieldElement:
+        """e as a + b*sqrt5, for n = 1 and 5 only: x + y*phi is
+        (2x + y)/2 + (y/2)*sqrt5."""
+        if self.n not in (1, 5):
+            raise ValueError(f"Z[2cos(pi/{self.n})] does not lie in Q(sqrt5)")
+        x, y = (e + (0,))[:2]
+        return FieldElement(Fraction(2 * x + y, 2), Fraction(y, 2))
+
+    def text(self, e) -> str:
+        """The printed form: for n = 1 and 5 the Q(sqrt5) text of a
+        FieldElement, otherwise an integer polynomial in cN = 2cos(pi/N),
+        highest power first (e.g. 'c7^2 - 2')."""
+        if self.n in (1, 5):
+            return str(self.to_field(e))
+        return poly_str(e, var=f"c{self.n}")
+
+    def as_json(self, e):
+        """The JSON form: for n = 1 and 5 FieldElement.to_int_tuple(),
+        otherwise the d integer coordinates in the basis 1, eta, ..."""
+        if self.n in (1, 5):
+            return self.to_field(e).to_int_tuple()
+        return list(e)
+
+
+@lru_cache(maxsize=None)
+def coordinate_ring(n: int) -> Ring:
+    return Ring(n)
+
+
+def _minimal_polynomial(n: int) -> list:
+    """Ascending integer coefficients of the monic minimal polynomial of
+    2cos(pi/n).  For n > 1 the cyclotomic polynomial Phi_2n(z) has degree
+    2d and is palindromic, so z^-d Phi_2n(z) is a polynomial of degree d
+    in z + 1/z, which is that minimal polynomial."""
+    if n == 1:
+        return [2, 1]
+    cyclotomic = {}
+    for k in range(1, 2 * n + 1):
+        if 2 * n % k == 0:
+            # z^k - 1 is the product of Phi_j over the divisors j of k
+            p = [-1] + [0] * (k - 1) + [1]
+            for j, q in cyclotomic.items():
+                if k % j == 0:
+                    p = _divide(p, q)
+            cyclotomic[k] = p
+    c = cyclotomic[2 * n]
+    d = len(c) // 2
+    # z^-d Phi(z) = c_d + sum_k c_d+k (z^k + z^-k), and z^k + z^-k = V_k(z + 1/z)
+    out = [c[d]] + [0] * d
+    prev, cur = [2], [0, 1]
+    for k in range(1, d + 1):
+        for j, v in enumerate(cur):
+            out[j] += c[d + k] * v
+        nxt = [0] + cur
+        for j, v in enumerate(prev):
+            nxt[j] -= v
+        prev, cur = cur, nxt
+    return out
+
+
+def _divide(p, q) -> list:
+    """p / q for a monic q that divides p (ascending coefficients)."""
+    p, out = list(p), [0] * (len(p) - len(q) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        out[k] = p[k + len(q) - 1]
+        for j, c in enumerate(q):
+            p[k + j] -= out[k] * c
+    return out
+
+
+# -- vector helpers (FieldElement vectors) -------------------------------------
 
 
 def as_vector(values: Iterable) -> Vector:
@@ -54,27 +193,30 @@ def vscale(c, x: Vector) -> Vector:
 
 
 class Matrix:
-    """Immutable exact matrix (rows of FieldElement)."""
+    """Immutable exact matrix: rows of FieldElements, or of elements of a
+    Ring.  A ring matrix supports ==, *, **, transpose, det and charpoly;
+    the other operations are for FieldElement matrices."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "ring")
 
-    def __init__(self, rows):
-        self.rows = tuple(as_vector(row) for row in rows)
+    def __init__(self, rows, ring: Ring | None = None):
+        self.ring = ring
+        self.rows = tuple(tuple(row) if ring else as_vector(row) for row in rows)
         if self.rows:
             width = len(self.rows[0])
             if any(len(row) != width for row in self.rows):
                 raise ValueError("ragged rows")
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                         for i in range(n)))
+    def identity(cls, n: int, ring: Ring | None = None) -> "Matrix":
+        one, zero = (ring.one, ring.zero) if ring else (ONE, ZERO)
+        return cls(tuple(tuple(one if i == j else zero for j in range(n))
+                         for i in range(n)), ring)
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
-        if not cols:
-            return cls(())
-        return cls(tuple(zip(*cols)))
+    def from_columns(cls, cols: Sequence[Vector],
+                     ring: Ring | None = None) -> "Matrix":
+        return cls(tuple(zip(*cols)), ring)
 
     @property
     def nrows(self) -> int:
@@ -85,21 +227,22 @@ class Matrix:
         return len(self.rows[0]) if self.rows else 0
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.rows)
+        return Matrix.from_columns(self.rows, self.ring)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
+        product = self.ring.dot if self.ring else dot
         cols = list(zip(*other.rows))
-        return Matrix(tuple(tuple(dot(row, col) for col in cols)
-                            for row in self.rows))
+        return Matrix(tuple(tuple(product(row, col) for col in cols)
+                            for row in self.rows), self.ring)
 
     def __pow__(self, k: int):
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
-        result = Matrix.identity(self.nrows)
+        result = Matrix.identity(self.nrows, self.ring)
         base = self
         while k:
             if k & 1:
@@ -121,9 +264,6 @@ class Matrix:
     def __neg__(self):
         return Matrix(tuple(vneg(r) for r in self.rows))
 
-    def scale(self, c) -> "Matrix":
-        return Matrix(tuple(vscale(c, r) for r in self.rows))
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
 
@@ -134,132 +274,60 @@ class Matrix:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def trace(self) -> FieldElement:
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
-
-    def det(self) -> FieldElement:
-        """Determinant via exact Gaussian elimination."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return ONE
-        work = [list(row) for row in self.rows]
-        sign = 1
-        result = ONE
-        for col in range(n):
-            pivot_row = None
-            for r in range(col, n):
-                if not work[r][col].is_zero:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign = -sign
-            pivot = work[col][col]
-            result = result * pivot
-            inv = pivot.inverse()
-            for r in range(col + 1, n):
-                factor = work[r][col] * inv
-                if factor.is_zero:
-                    continue
-                row = work[r]
-                base = work[col]
-                for c in range(col, n):
-                    row[c] = row[c] - factor * base[c]
-        return result if sign > 0 else -result
+    def det(self):
+        """Determinant, (-1)^n det(0I - M) from the characteristic
+        polynomial."""
+        c0 = self.charpoly()[0]
+        if self.nrows % 2 == 0:
+            return c0
+        return self.ring.neg(c0) if self.ring else -c0
 
     def charpoly(self) -> tuple:
-        """Coefficients of det(tI - M), ascending in t (exact, monic)."""
-        n = self.nrows
-        if n != self.ncols:
+        """Coefficients of det(tI - M), ascending in t (exact, monic): ring
+        elements for a ring matrix, FieldElements otherwise."""
+        if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        xs, ys, d = _to_zphi(self.rows)
-        coeffs = []
-        scale = 2
-        for x, y in _berkowitz(xs, ys):
-            # x + y*phi = (2x + y)/2 + (y/2)*sqrt5, and c_k of D*M is D^k c_k
-            coeffs.append(FieldElement(Fraction(2 * x + y, scale),
-                                       Fraction(y, scale)))
-            scale *= d
-        return tuple(reversed(coeffs))
+        if self.ring:
+            return tuple(reversed(_berkowitz(self.ring, self.rows)))
+        # clear a common denominator D of the entries a + b*sqrt5 and write
+        # each entry of DM as x + y*phi: x = D(a - b), y = 2Db (sqrt5 =
+        # 2phi - 1); coefficient k of det(tI - DM), descending, is D^k c_k
+        d = lcm(*(q for row in self.rows for e in row
+                  for q in (e.a.denominator, e.b.denominator)))
+        rows = [[(int(d * (e.a - e.b)), int(2 * d * e.b)) for e in row]
+                for row in self.rows]
+        golden = coordinate_ring(5)
+        return tuple(reversed([golden.to_field(c) / d ** k for k, c
+                               in enumerate(_berkowitz(golden, rows))]))
 
 
-def _to_zphi(rows):
-    """Clear a common denominator D of the entries a + b*sqrt5 and write
-    each one of D*M as x + y*phi over the integers (sqrt5 = 2*phi - 1):
-    x = D*(a - b), y = 2*D*b.  Returns the x and y matrices and D."""
-    d = lcm(*(q for row in rows for e in row
-              for q in (e.a.denominator, e.b.denominator)))
-    xs, ys = [], []
-    for row in rows:
-        xrow, yrow = [], []
-        for e in row:
-            a = e.a.numerator * (d // e.a.denominator)
-            b = e.b.numerator * (d // e.b.denominator)
-            xrow.append(a - b)
-            yrow.append(2 * b)
-        xs.append(xrow)
-        ys.append(yrow)
-    return xs, ys, d
-
-
-def _berkowitz(xs, ys):
-    """Coefficients of det(tI - M), descending in t, for M = X + Y*phi
-    with integer X, Y: the division-free Berkowitz recurrence in Z[phi].
+def _berkowitz(ring: Ring, rows) -> list:
+    """Coefficients of det(tI - M), descending in t: the division-free
+    Berkowitz recurrence over the ring.
 
     Growing the leading block A_r by row R, column S and corner a, the
     polynomial of A_{r+1} is the Toeplitz product of
     (1, -a, -R.S, -R.A_r.S, ..., -R.A_r^(r-1).S) with that of A_r.
     """
-    px, py = [1], [0]
-    for r in range(len(xs)):
-        col_x, col_y = [1, -xs[r][r]], [0, -ys[r][r]]
-        vx = [xs[i][r] for i in range(r)]
-        vy = [ys[i][r] for i in range(r)]
+    dot, neg = ring.dot, ring.neg
+    poly = [ring.one]
+    for r in range(len(rows)):
+        col = [ring.one, neg(rows[r][r])]
+        v = [rows[i][r] for i in range(r)]
         for k in range(r):
             if k:
                 # v <- A_r v; rows of A_r are cut to length r by zip
-                vx, vy = zip(*[_zphi_dot(xs[i], ys[i], vx, vy)
-                               for i in range(r)])
-            sx, sy = _zphi_dot(xs[r], ys[r], vx, vy)
-            col_x.append(-sx)
-            col_y.append(-sy)
-        px, py = zip(*[_zphi_dot(col_x[i::-1], col_y[i::-1], px, py)
-                       for i in range(r + 2)])
-    return list(zip(px, py))
-
-
-def _zphi_dot(ax, ay, bx, by):
-    """sum_j (ax[j] + ay[j]*phi)(bx[j] + by[j]*phi) as an integer pair,
-    over the shorter length; phi^2 = phi + 1."""
-    sx = sy = 0
-    for p, q, u, w in zip(ax, ay, bx, by):
-        if u or w:
-            qw = q * w
-            sx += p * u + qw
-            sy += p * w + q * u + qw
-    return sx, sy
+                v = [dot(rows[i], v) for i in range(r)]
+            col.append(neg(dot(rows[r], v)))
+        poly = [dot(col[i::-1], poly) for i in range(r + 2)]
+    return poly
 
 
 # -- polynomials (ascending coefficient tuples) ------------------------------
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    p = tuple(p) + (ZERO,) * (n - len(p))
-    q = tuple(q) + (ZERO,) * (n - len(q))
-    return tuple(a + b for a, b in zip(p, q))
-
-
 def poly_neg(p):
     return tuple(-a for a in p)
-
-
-def poly_scale(c, p):
-    return tuple(c * a for a in p)
 
 
 def poly_mul(p, q):
@@ -281,29 +349,21 @@ def poly_eval(p, x) -> FieldElement:
     return acc
 
 
-def poly_str(p, var: str = "t") -> str:
-    """Deterministic human-readable form, highest degree first."""
+def poly_str(p, var: str = "t", text=str) -> str:
+    """Deterministic human-readable form, highest degree first; text
+    prints one coefficient."""
     terms = []
     for k in range(len(p) - 1, -1, -1):
-        c = p[k]
-        if c.is_zero:
+        coeff = text(p[k])
+        if coeff == "0":
             continue
-        if c == ONE and k > 0:
-            coeff = ""
-        elif c == -ONE and k > 0:
-            coeff = "-"
-        else:
-            text = str(c)
-            coeff = f"({text})" if ("+" in text[1:] or "-" in text[1:]) else text
-            if k > 0:
-                coeff += "*"
+        if "+" in coeff[1:] or "-" in coeff[1:]:
+            coeff = f"({coeff})"
         if k == 0:
-            term = coeff or ("1" if c == ONE else "-1")
-        elif k == 1:
-            term = f"{coeff}{var}"
-        else:
-            term = f"{coeff}{var}^{k}"
-        terms.append(term)
+            terms.append(coeff)
+            continue
+        coeff = coeff[:-1] if coeff in ("1", "-1") else coeff + "*"
+        terms.append(f"{coeff}{var}" if k == 1 else f"{coeff}{var}^{k}")
     if not terms:
         return "0"
     out = terms[0]
@@ -311,17 +371,3 @@ def poly_str(p, var: str = "t") -> str:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
 
-
-def lagrange_interpolate(points, values) -> tuple:
-    """Exact polynomial through (points[i], values[i]); points are distinct ints."""
-    result = (ZERO,)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        numer = (ONE,)
-        denom = ONE
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            numer = poly_mul(numer, (FieldElement(-xj), ONE))
-            denom = denom * FieldElement(xi - xj)
-        result = poly_add(result, poly_scale(yi / denom, numer))
-    return result

@@ -1,50 +1,57 @@
 """Finite root systems in simple-root coordinates.
 
 Each factor is given by its Cartan matrix a_ij = 2(alpha_i, alpha_j) /
-(alpha_i, alpha_i) over Z[phi] (phi the golden ratio).  Its roots are
-the orbit of the simple roots alpha_i = e_i under the simple reflections
-s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, written as coordinate
-vectors in the simple basis, so all coordinates lie in Z[phi].
+(alpha_i, alpha_i).  Its roots are the orbit of the simple roots
+alpha_i = e_i under the simple reflections s_i(beta) = beta -
+<beta, alpha_i^vee> alpha_i, written as coordinate vectors in the simple
+basis.  Every entry and coordinate lies in one ring per system,
+Z[2cos(pi/N)] (coxtraces.linalg.Ring), and each factor is built in it
+directly.  N is the lcm over the factors of 5 for H3 and H4, m for
+I2(m) with m odd and m/2 for m even, where a value of 3 or less counts
+as 1: Weyl groups get the integers, H3, H4, I2(5) and I2(10) the golden
+integers Z[phi].
 
   A(n)    a chain (A0 has no roots; its fixed line is a trivial_dim)
   B(n)    a chain whose node 0 is the short root (C(n) is read as B(n))
   D(n)    nodes 0 and 1 both attached to node 2, then a chain
-  E6..8, F4, G2, H3, H4   fixed edge lists
-  I2(m)   a_01 a_10 = 4 cos^2(pi/m): 1, 2, phi^2, 3 and 2 + phi for
-          m = 3, 4, 5, 6, 10; other m have no Cartan matrix over Z[phi]
-          and are flagged matrix_free
+  E6..8, F4, G2, H3, H4   fixed edge lists; the 0-2 edge of H is -phi
+  I2(m)   (a_01, a_10) = (-2cos(pi/m), -2cos(pi/m)) for odd m and
+          (-1, -2 - 2cos(2pi/m)) for even m, with a_01 a_10 =
+          4cos^2(pi/m); I2(4) and I2(6) keep the pairs of B2 and G2
 
-The node order is the one in which earlier releases found the simple
-roots of their vector models, so element ids, class order and every
-printed report stay the same.
+The node order, and the orientation of I2(4) and I2(6), is the one in
+which earlier releases found the simple roots of their vector models,
+so element ids, class order and every printed report stay the same.
+|W|, |R|, the Coxeter number and whether -1 lies in W are read off the
+degrees of the basic invariants.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, prod
+from math import lcm, prod
 
-from .field import GOLDEN, ZERO, FieldElement
+from .linalg import Ring, coordinate_ring
 
-# |W|, the Coxeter number h (|R| = rank x h) and the Cartan edges:
-# (i, j) for a_ij = a_ji = -1, or (i, j, a_ij, a_ji)
+# the degrees of the basic invariants (Humphreys, Reflection Groups and
+# Coxeter Groups, Table 3.1) and the Cartan edges: (i, j) for
+# a_ij = a_ji = -1, or (i, j, a_ij, a_ji); the 0-2 edge of H is -phi
 _EXCEPTIONAL = {
-    ("E", 6): (51840, 12, ((0, 2), (0, 5), (1, 2), (1, 4), (2, 3))),
-    ("E", 7): (2903040, 18, ((0, 6), (1, 3), (2, 3), (2, 6), (3, 4), (4, 5))),
-    ("E", 8): (696729600, 30,
+    ("E", 6): ((2, 5, 6, 8, 9, 12),
+               ((0, 2), (0, 5), (1, 2), (1, 4), (2, 3))),
+    ("E", 7): ((2, 6, 8, 10, 12, 14, 18),
+               ((0, 6), (1, 3), (2, 3), (2, 6), (3, 4), (4, 5))),
+    ("E", 8): ((2, 8, 12, 14, 18, 20, 24, 30),
                ((0, 2), (0, 7), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))),
-    ("F", 4): (1152, 12, ((0, 1, -2, -1), (0, 3), (1, 2))),
-    ("G", 2): (12, 6, ((0, 1, -3, -1),)),
-    ("H", 3): (120, 10, ((0, 2, -GOLDEN, -GOLDEN), (1, 2))),
-    ("H", 4): (14400, 30, ((0, 2, -GOLDEN, -GOLDEN), (1, 2), (1, 3))),
+    ("F", 4): ((2, 6, 8, 12), ((0, 1, -2, -1), (0, 3), (1, 2))),
+    ("G", 2): ((2, 6), ((0, 1, -3, -1),)),
+    ("H", 3): ((2, 6, 10), ((1, 2),)),
+    ("H", 4): ((2, 12, 20, 30), ((1, 2), (1, 3))),
 }
 
-# I2(m): (a_01, a_10)
-_I2_CARTAN = {3: (-1, -1), 4: (-2, -1), 5: (-GOLDEN, -GOLDEN), 6: (-3, -1),
-              10: (-1, -2 - GOLDEN)}
-_I2_MODELED = tuple(_I2_CARTAN)
+# I2(4) and I2(6): (a_01, a_10) of B2 and G2
+_I2_CRYSTAL = {4: (-2, -1), 6: (-3, -1)}
 
 
 class SpecParseError(ValueError):
@@ -63,40 +70,43 @@ class Factor:
         return f"I2({self.n})" if self.family == "I" else f"{self.family}{self.n}"
 
     @property
-    def order(self) -> int:
-        """Order of the reflection group, from the classical formulas."""
+    def degrees(self) -> tuple:
+        """Degrees of the basic invariants; A0 has none."""
+        n = self.n
         if self.family == "A":
-            return factorial(self.n + 1)
+            return tuple(range(2, n + 2))
         if self.family == "B":
-            return 2 ** self.n * factorial(self.n)
+            return tuple(range(2, 2 * n + 1, 2))
         if self.family == "D":
-            return 2 ** (self.n - 1) * factorial(self.n)
+            return tuple(range(2, 2 * n - 1, 2)) + (n,)
         if self.family == "I":
-            return 2 * self.n
-        return _EXCEPTIONAL[(self.family, self.n)][0]
+            return (2, n)
+        return _EXCEPTIONAL[(self.family, n)][0]
+
+    @property
+    def order(self) -> int:
+        """|W|, the product of the degrees."""
+        return prod(self.degrees)
 
     @property
     def rank(self) -> int:
-        return 2 if self.family == "I" else self.n
+        return len(self.degrees)
 
     @property
     def root_count(self) -> int:
-        """|R|, from the classical formulas."""
-        h = {"A": self.n + 1, "B": 2 * self.n, "D": 2 * self.n - 2,
-             "I": self.n}.get(self.family)
-        return self.rank * (h or _EXCEPTIONAL[(self.family, self.n)][1])
+        """|R|, twice the sum of the degrees minus one."""
+        return 2 * sum(d - 1 for d in self.degrees)
+
+    @property
+    def coxeter_number(self) -> int:
+        """h, the largest degree (1 for A0)."""
+        return max(self.degrees, default=1)
 
     @property
     def contains_minus_identity(self) -> bool:
-        """Whether -identity lies in the group (classification fact;
-        always for B, F, G and H)."""
-        n = self.n
-        return {"A": n == 1, "D": n % 2 == 0, "E": n != 6,
-                "I": n % 2 == 0}.get(self.family, True)
-
-    @property
-    def has_matrix_model(self) -> bool:
-        return self.family != "I" or self.n in _I2_MODELED
+        """Whether -identity lies in the group: exactly when every degree
+        is even, except for A0, which fixes its line."""
+        return self.rank > 0 and all(d % 2 == 0 for d in self.degrees)
 
     @property
     def canonical(self) -> bool:
@@ -144,6 +154,21 @@ def system_order(factors) -> int:
     return prod(f.order for f in factors)
 
 
+def ring_index(factors) -> int:
+    """N of the system's coordinate ring Z[2cos(pi/N)]: the lcm of 5 for
+    each H factor, m for I2(m) with m odd and m/2 for m even, where a
+    value of 3 or less counts as 1 (2cos(pi/k) is then an integer)."""
+    index = 1
+    for f in factors:
+        k = 1
+        if f.family == "H":
+            k = 5
+        elif f.family == "I":
+            k = f.n if f.n % 2 else f.n // 2
+        index = lcm(index, k if k > 3 else 1)
+    return index
+
+
 # -- Cartan matrices and root closure -------------------------------------------
 
 
@@ -157,51 +182,51 @@ def _edges(factor: Factor):
         fork = [(0, 2), (1, 2)] if n > 2 else []
         return fork + [(k, k + 1) for k in range(2, n - 1)]
     if factor.family == "I":
-        return [(0, 1) + _I2_CARTAN[n]]
-    return _EXCEPTIONAL[(factor.family, n)][2]
+        return []
+    return _EXCEPTIONAL[(factor.family, n)][1]
 
 
-def cartan_matrix(factor: Factor) -> tuple:
-    """The Cartan matrix a_ij = <alpha_j, alpha_i^vee> in simple-root order."""
-    if not factor.has_matrix_model:
-        raise ValueError(f"{factor.label} has no Cartan matrix over Z[phi]")
+def _dihedral_pair(m: int, ring: Ring) -> tuple:
+    """(a_01, a_10) of I2(m)."""
+    if m in _I2_CRYSTAL:
+        return tuple(map(ring.integer, _I2_CRYSTAL[m]))
+    if m % 2:
+        entry = ring.neg(ring.two_cos(m))
+        return entry, entry
+    return ring.integer(-1), ring.sub(ring.integer(-2), ring.two_cos(m // 2))
+
+
+def cartan_matrix(factor: Factor, ring: Ring | None = None) -> tuple:
+    """The Cartan matrix a_ij = <alpha_j, alpha_i^vee> in simple-root
+    order, over the factor's own ring unless another one is given."""
+    ring = ring or coordinate_ring(ring_index((factor,)))
     n = factor.rank
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[ring.integer(2 if i == j else 0) for j in range(n)]
+            for i in range(n)]
     for i, j, *pair in _edges(factor):
-        rows[i][j], rows[j][i] = pair or (-1, -1)
-    return tuple(tuple(FieldElement(a) if isinstance(a, int) else a for a in row)
-                 for row in rows)
+        rows[i][j], rows[j][i] = map(ring.integer, pair or (-1, -1))
+    if factor.family == "H":
+        rows[0][2] = rows[2][0] = ring.neg(ring.two_cos(5))
+    if factor.family == "I":
+        rows[0][1], rows[1][0] = _dihedral_pair(factor.n, ring)
+    return tuple(tuple(row) for row in rows)
 
 
-def _pairs(vector) -> tuple:
-    """A vector over Z[phi] as the integers x0, y0, x1, y1, ... of its
-    coordinates x + y*phi (a + b*sqrt5 = (a - b) + 2b*phi)."""
-    return tuple(v for e in vector for v in (int(e.a - e.b), int(2 * e.b)))
+def _units(ring: Ring, n: int) -> list:
+    """The simple roots e_0, ..., e_n-1."""
+    return [tuple(ring.one if i == j else ring.zero for j in range(n))
+            for i in range(n)]
 
 
-def _unpair(flat) -> tuple:
-    # x + y*phi = (2x + y)/2 + (y/2)*sqrt5
-    return tuple(FieldElement(Fraction(2 * x + y, 2), Fraction(y, 2))
-                 for x, y in zip(flat[::2], flat[1::2]))
-
-
-def _reflector(cartan):
-    """s(i, beta): the simple reflection s_i of a root in the integer form
-    of _pairs.  Only coordinate i moves, by <beta, alpha_i^vee> =
-    sum_j a_ij beta_j, computed in Z[phi] with phi^2 = phi + 1."""
-    rows = [[(2 * j,) + _pairs((a,)) for j, a in enumerate(row) if a]
-            for row in cartan]
-
-    def s(i, beta):
-        px = py = 0
-        for k, ax, ay in rows[i]:
-            bx, by = beta[k], beta[k + 1]
-            t = by * ay
-            px += bx * ax + t
-            py += bx * ay + by * ax + t
-        k = 2 * i
-        return beta[:k] + (beta[k] - px, beta[k + 1] - py) + beta[k + 2:]
-    return s
+def _reflections(ring: Ring, cartan) -> list:
+    """The simple reflections s_i on roots: only coordinate i moves, by
+    <beta, alpha_i^vee> = sum_j a_ij beta_j."""
+    def reflection(i, row):
+        def s(beta):
+            moved = ring.sub(beta[i], ring.dot(row, beta))
+            return beta[:i] + (moved,) + beta[i + 1:]
+        return s
+    return [reflection(i, row) for i, row in enumerate(cartan)]
 
 
 # -- the one closure and orbit walk, for roots and every group model ---------
@@ -253,18 +278,19 @@ def orbits(elements, index, gens, act):
 
 
 class RootSystem:
-    """A finite root system: roots in simple-root coordinates, the Cartan
-    matrix of the simple roots, and factor bookkeeping.
+    """A finite root system: roots in simple-root coordinates over one
+    ring, the Cartan matrix of the simple roots, and factor bookkeeping.
 
     trivial_dims counts directions carrying no roots that still take part
     in the spectrum convention: each A0 factor contributes one such
     direction, on which every group element acts as +1.
     """
 
-    def __init__(self, factors, roots, cartan):
+    def __init__(self, factors, roots, cartan, ring: Ring):
         self.factors = tuple(factors)
         self.roots = tuple(roots)
         self.cartan = tuple(cartan)
+        self.ring = ring
         self._root_index = None
         self._simple = None
         self._reflections = None
@@ -276,10 +302,6 @@ class RootSystem:
     @property
     def known_order(self) -> int:
         return system_order(self.factors)
-
-    @property
-    def matrix_free(self) -> bool:
-        return not all(f.has_matrix_model for f in self.factors)
 
     @property
     def trivial_dims(self) -> int:
@@ -299,10 +321,8 @@ class RootSystem:
     def simple_root_indices(self) -> tuple:
         """Indices of the simple roots, the unit coordinate vectors."""
         if self._simple is None:
-            n = self.rank
-            self._simple = tuple(
-                self.root_index[tuple(FieldElement(int(i == j)) for j in range(n))]
-                for i in range(n))
+            self._simple = tuple(self.root_index[e]
+                                 for e in _units(self.ring, self.rank))
         return self._simple
 
     @property
@@ -310,48 +330,52 @@ class RootSystem:
         """Root permutation of each simple reflection, one byte per root
         (the element format of coxtraces.group)."""
         if self._reflections is None:
-            s = _reflector(self.cartan)
-            flat = [_pairs(r) for r in self.roots]
-            index = {beta: k for k, beta in enumerate(flat)}
-            self._reflections = tuple(bytes(index[s(i, beta)] for beta in flat)
-                                      for i in range(self.rank))
+            index = self.root_index
+            self._reflections = tuple(
+                bytes(index[s(beta)] for beta in self.roots)
+                for s in _reflections(self.ring, self.cartan))
         return self._reflections
 
     def __repr__(self):
         return f"RootSystem({self.label}, {len(self.roots)} roots, rank {self.rank})"
 
 
-def build_irreducible(factor: Factor) -> RootSystem:
-    """Roots of one irreducible factor (no roots for A0 and matrix-free I2(m))."""
-    if not factor.has_matrix_model:
-        return RootSystem((factor,), (), ())
-    cartan = cartan_matrix(factor)
-    s, n = _reflector(cartan), len(cartan)
-    # the orbit of the simple roots e_i (in the integer form of _pairs)
-    units = [tuple(int(k == 2 * i) for k in range(2 * n)) for i in range(n)]
-    roots, _ = closure(units, range(n), lambda beta, i: s(i, beta))
+def build_irreducible(factor: Factor, ring: Ring | None = None) -> RootSystem:
+    """Roots of one irreducible factor (none for A0), over the factor's own
+    ring unless another one is given."""
+    ring = ring or coordinate_ring(ring_index((factor,)))
+    cartan = cartan_matrix(factor, ring)
+    roots, _ = closure(_units(ring, len(cartan)), _reflections(ring, cartan),
+                       lambda beta, s: s(beta))
     if len(roots) != factor.root_count:
         raise RuntimeError(f"the Cartan matrix of {factor.label} gives "
                            f"{len(roots)} roots, expected {factor.root_count}")
-    return RootSystem((factor,), [_unpair(r) for r in sorted(roots)], cartan)
+    return RootSystem((factor,), sorted(roots), cartan, ring)
 
 
 def direct_sum(first: RootSystem, second: RootSystem) -> RootSystem:
-    """Orthogonal juxtaposition; factor order and root blocks are preserved."""
-    pad1, pad2 = (ZERO,) * second.rank, (ZERO,) * first.rank
+    """Orthogonal juxtaposition of two systems over the same ring; factor
+    order and root blocks are preserved."""
+    if first.ring.n != second.ring.n:
+        raise ValueError(f"{first.label} and {second.label} have different "
+                         "coordinate rings; build the sum with build_system")
+    zero = first.ring.zero
+    pad1, pad2 = (zero,) * second.rank, (zero,) * first.rank
     roots = [r + pad1 for r in first.roots] + [pad2 + r for r in second.roots]
     cartan = ([row + pad1 for row in first.cartan]
               + [pad2 + row for row in second.cartan])
-    return RootSystem(first.factors + second.factors, roots, cartan)
+    return RootSystem(first.factors + second.factors, roots, cartan, first.ring)
 
 
 def build_system(factors) -> RootSystem:
+    """The roots of a system, every factor built in the system's ring."""
     factors = tuple(factors)
     if not factors:
         raise SpecParseError("a system needs at least one factor")
-    system = build_irreducible(factors[0])
+    ring = coordinate_ring(ring_index(factors))
+    system = build_irreducible(factors[0], ring)
     for factor in factors[1:]:
-        system = direct_sum(system, build_irreducible(factor))
+        system = direct_sum(system, build_irreducible(factor, ring))
     return system
 
 

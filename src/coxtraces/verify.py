@@ -13,8 +13,7 @@ from .classes import count, count_brute_force, verify_inequality_theorem
 from .group import DEFAULT_BUDGET, generate_group, shared_group
 from .models import h3_charpoly_table_check, h4_class_census
 from .partitions import dihedral_classes, lemma_identity_check
-from .roots import (Factor, build_irreducible, direct_sum, parse_factor,
-                    system_from_spec)
+from .roots import Factor, build_system, parse_factor, system_from_spec
 
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 50
@@ -90,14 +89,14 @@ def multiplicativity_suite(pairs: int = 25, seed: int = DEFAULT_SEED,
     result = SuiteResult()
     done = 0
     while done < pairs:
-        first = build_irreducible(parse_factor(rng.choice(_SMALL_POOL)))
-        second = build_irreducible(parse_factor(rng.choice(_SMALL_POOL)))
-        if first.known_order * second.known_order > order_cap:
+        first = parse_factor(rng.choice(_SMALL_POOL))
+        second = parse_factor(rng.choice(_SMALL_POOL))
+        if first.order * second.order > order_cap:
             continue
         done += 1
-        combined = direct_sum(first, second)
+        combined = build_system((first, second))
         brute = count_brute_force(generate_group(combined, budget=budget))
-        product = count(first, strategy="closed") * count(second, strategy="closed")
+        product = count([first]) * count([second])
         ok = brute.pair() == product.pair()
         result.add(f"multiplicativity on {combined.label}", ok,
                    f"brute {brute.pair()} vs product {product.pair()}")

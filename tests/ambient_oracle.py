@@ -14,11 +14,12 @@ roots.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from coxtraces.field import GOLDEN, HALF, ONE, ZERO
 from coxtraces.linalg import Matrix, dot, vadd, vneg, vscale, vsub
-from coxtraces.models import unit_icosians
+from quaternions import unit_icosians
 
 
 def _unit(n, i, value=ONE):
@@ -117,24 +118,92 @@ def cartan(simple) -> list:
     return [[dot(a, b) * 2 / dot(a, a) for b in simple] for a in simple]
 
 
+# -- the axiom check, in integer Z[phi] pairs ---------------------------------
+#
+# Every model lies in (Z[phi]/2)^n, so twice a root is a vector of pairs
+# (x, y) = x + y*phi of integers, with phi^2 = phi + 1.  This arithmetic is
+# the oracle's own: it shares nothing with the library's ring.
+
+
+def _doubled(root) -> tuple:
+    """2 * root as integer pairs: a + b*sqrt5 = (a - b) + 2b*phi."""
+    out = []
+    for c in root:
+        x, y = 2 * (c.a - c.b), 4 * c.b
+        if x.denominator != 1 or y.denominator != 1:
+            raise ValueError(f"{root} does not lie in (Z[phi]/2)^n")
+        out.append((int(x), int(y)))
+    return tuple(out)
+
+
+def _mul(p, q):
+    (x, y), (u, w) = p, q
+    return x * u + y * w, x * w + y * u + y * w
+
+
+def _dot(r, v):
+    sx = sy = 0
+    for p, q in zip(r, v):
+        x, y = _mul(p, q)
+        sx += x
+        sy += y
+    return sx, sy
+
+
+def _conjugate(p):
+    # phi -> 1 - phi
+    x, y = p
+    return x + y, -y
+
+
+def _line(r) -> tuple:
+    """The line through a nonzero vector of pairs: r times the conjugate of
+    its leading coordinate has a rational leading entry (the norm); made
+    primitive with a positive leading entry, it is the same for every
+    nonzero multiple of r in Q(sqrt5)."""
+    lead = _conjugate(next(c for c in r if any(c)))
+    flat = [x for c in r for x in _mul(c, lead)]
+    scale = math.gcd(*flat) * (1 if next(x for x in flat if x) > 0 else -1)
+    return tuple(x // scale for x in flat)
+
+
+def _reflection_image(r, v, vv):
+    """r - (2(r, v)/(v, v)) v, or None when the coefficient is not in
+    Z[phi]: it is in every root system, being 2cos of an angle of one."""
+    x, y = _dot(r, v)
+    if not (x or y):
+        return r
+    # divide 2(r, v) by vv = (v, v) exactly: multiply by the conjugate of
+    # vv, then divide by its norm
+    px, py = _mul((2 * x, 2 * y), _conjugate(vv))
+    norm = _mul(vv, _conjugate(vv))[0]
+    if px % norm or py % norm:
+        return None
+    q = (px // norm, py // norm)
+    return tuple((a - b, c - d)
+                 for (a, c), (b, d) in zip(r, (_mul(q, e) for e in v)))
+
+
 def axiom_problems(roots) -> list:
     """Violations of the root system axioms (the first of each kind)."""
     problems = []
-    root_set = set(roots)
-    if len(root_set) != len(roots):
+    doubled = [_doubled(r) for r in roots]
+    root_set = set(doubled)
+    if len(root_set) != len(doubled):
         problems.append("duplicate roots")
-    if any(all(c.is_zero for c in r) for r in roots):
+    if any(not any(map(any, r)) for r in doubled):
         problems.append("zero vector listed as a root")
-    if any(vneg(r) not in root_set for r in roots):
+    if any(tuple((-x, -y) for x, y in r) not in root_set for r in doubled):
         problems.append("a root without its negative")
-    # collinear roots may only come in +-v pairs: scaled to a leading 1,
-    # every line through a root holds exactly two of them
-    lines = Counter(vscale(next(c for c in r if not c.is_zero).inverse(), r)
-                    for r in roots if any(r))
+    # collinear roots may only come in +-v pairs: every line through a root
+    # holds exactly two of them
+    lines = Counter(_line(r) for r in doubled if any(map(any, r)))
     if any(k != 2 for k in lines.values()):
         problems.append("collinear roots other than +-v")
-    for v in roots:
-        if any(reflect(r, v) not in root_set for r in roots):
-            problems.append(f"reflection in {v} moves a root outside the system")
+    for v, original in zip(doubled, roots):
+        vv = _dot(v, v)
+        if any(_reflection_image(r, v, vv) not in root_set for r in doubled):
+            problems.append(f"reflection in {original} moves a root outside "
+                            "the system")
             break
     return problems

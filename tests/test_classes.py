@@ -8,7 +8,7 @@ from coxtraces.classes import (conjugacy_classes, count, count_brute_force,
                                has_eigenvalue, verify_inequality_theorem)
 from coxtraces.field import ONE
 from coxtraces.group import shared_group
-from coxtraces.partitions import closed_form_count
+from coxtraces.partitions import closed_form_count, dihedral_classes
 from coxtraces.roots import parse_factor, system_from_spec
 
 CLASS_COUNTS = {
@@ -127,7 +127,15 @@ def test_theorem_verdict_uses_table_beyond_the_allowance():
     assert verdict.ok
     methods = {f.label: f.method for f in verdict.factor_results}
     assert methods["E7"] == "table"    # order 2,903,040 is past the allowance
-    assert methods["I2(9)"] == "table"  # no vector model at all
+    assert methods["I2(9)"] == "engine"  # every dihedral has a Cartan matrix
+
+
+def test_theorem_verdict_uses_table_past_the_root_limit():
+    # I2(200) has 400 roots, more than enumeration can store
+    verdict = verify_inequality_theorem("I2(200)")
+    assert verdict.ok
+    assert [(f.method, f.present) for f in verdict.factor_results] == \
+        [("table", True)]
 
 
 def test_theorem_verdict_across_a_mixed_sweep():
@@ -138,3 +146,47 @@ def test_theorem_verdict_across_a_mixed_sweep():
         assert verdict.ok, spec
         assert verdict.s_positive and verdict.t_le_s
         assert verdict.equality_iff_minus_identity
+
+
+@pytest.mark.parametrize("m", list(range(3, 41)) + [127, 128])
+def test_every_dihedral_enumerates_to_the_closed_form(m):
+    brute = count(f"I2({m})", strategy="brute").pair()
+    assert brute == dihedral_classes(m).counts().pair() == \
+        (m // 2, (m + 1) // 2)
+
+
+@pytest.mark.parametrize("spec", ["H3+I2(7)", "H4+I2(7)", "I2(9)+I2(12)"])
+def test_mixed_rings_enumerate_to_the_product_of_closed_forms(spec):
+    product = count(spec, strategy="closed").pair()
+    assert count(spec, strategy="brute").pair() == product
+
+
+@pytest.mark.parametrize("spec", ["I2(7)", "I2(8)", "H3+I2(7)"])
+def test_printed_coefficients_are_the_charpoly_at_eta(spec):
+    # each coefficient, in both printed forms, evaluated at
+    # eta = 2cos(pi/N), against det(tI - M) in floating point
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    group = shared_group(system_from_spec(spec))
+    ring = group.system.ring
+    assert ring.n not in (1, 5)
+    eta = 2 * mpmath.cos(mpmath.pi / ring.n)
+
+    def at_eta(e):
+        return sum(x * eta ** j for j, x in enumerate(e))
+
+    for cls in conjugacy_classes(group):
+        coeffs = []
+        for c in cls.char_poly:
+            text = eval(ring.text(c).replace("^", "**"), {f"c{ring.n}": eta})
+            json_value = at_eta(ring.as_json(c))
+            assert abs(text - json_value) < mpmath.mpf(10) ** -25
+            coeffs.append(json_value)
+        span = group.span_matrix_of(cls.representative.index)
+        m = mpmath.matrix([[at_eta(e) for e in row] for row in span.rows])
+        n = span.nrows
+        # n + 1 points off the unit circle, where tI - M is invertible
+        for t in (k + mpmath.mpf("0.25") for k in range(-n, n + 1, 2)):
+            det = mpmath.det(t * mpmath.eye(n) - m)
+            value = sum(c * t ** k for k, c in enumerate(coeffs))
+            assert abs(det - value) < mpmath.mpf(10) ** -20, (spec, t)

@@ -87,10 +87,27 @@ def test_more_than_256_roots_is_refused_at_once(capsys):
     assert "258 roots" in err
 
 
-def test_matrix_free_brute_force_is_refused(capsys):
-    code, _, err = _run(capsys, "count", "I2(7)", "--strategy", "brute")
+def test_dihedral_past_256_roots_is_refused(capsys):
+    code, _, err = _run(capsys, "count", "I2(129)", "--strategy", "brute")
     assert code == 3
-    assert "closed-form" in err
+    assert "258 roots" in err
+
+
+def test_wide_coordinate_ring_is_refused(capsys, no_root_systems):
+    code, _, err = _run(capsys, "count", "I2(7)+I2(9)+I2(11)",
+                        "--strategy", "brute")
+    assert code == 3
+    assert "2cos(pi/693)" in err
+
+
+@pytest.mark.parametrize("m", [7, 8, 9, 12, 127, 128])
+def test_every_dihedral_is_enumerated(capsys, m):
+    code, out, _ = _run(capsys, "count", f"I2({m})", "--strategy", "brute",
+                        "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["T"], payload["S"]) == (m // 2, (m + 1) // 2)
+    assert payload["method"] == "brute_force"
 
 
 def test_decagon_is_enumerated(capsys):
@@ -166,6 +183,8 @@ def test_classes_report(capsys):
     ("F4", "markdown", "classes_F4.md"),
     ("E6", "markdown", "classes_E6.md"),
     ("B2+I2(5)+A0", "csv", "classes_B2+I2(5)+A0.csv"),
+    ("I2(7)", "json", "classes_I2(7).json"),
+    ("H3+I2(7)", "markdown", "classes_H3+I2(7).md"),
 ])
 def test_class_report_matches_golden_text(capsys, spec, fmt, golden):
     # det and char_poly of every class, byte for byte
@@ -189,9 +208,10 @@ def test_table_json_fixture(capsys):
     by_label4 = {row["system"]: row for row in payload["section4"]}
     assert (by_label3["E8"]["T"], by_label3["E8"]["S"]) == (30, 30)
     assert by_label3["E8"]["method"] == "closed_form"
-    # the decagon has a Cartan matrix over Z[phi], so it is cross-checked
+    # every dihedral row is small enough to be cross-checked
     assert by_label3["I2(10)"]["method"] == "closed_form=brute"
-    assert by_label3["I2(12)"]["method"] == "closed_form"
+    assert by_label3["I2(12)"]["method"] == "closed_form=brute"
+    assert by_label4["I2(19)"]["method"] == "closed_form=brute"
     assert (by_label4["E6"]["T"], by_label4["E6"]["S"]) == (5, 9)
     assert (by_label4["A0"]["T"], by_label4["A0"]["S"]) == (0, 1)
     for row in payload["section3"]:

@@ -8,11 +8,10 @@ import struct
 
 import pytest
 
-from coxtraces.field import ONE
 from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
-                             CacheFormatError, MatrixFreeSystemError, compose,
-                             contains_minus_identity, generate_group, inverse,
-                             load_group, save_group, shared_group, to_matrix)
+                             CacheFormatError, compose, contains_minus_identity,
+                             generate_group, inverse, load_group, save_group,
+                             shared_group, to_matrix)
 from coxtraces.linalg import Matrix
 from coxtraces.roots import system_from_spec
 
@@ -22,6 +21,7 @@ KNOWN_ORDERS = {
     "D4": 192, "D5": 1920,
     "F4": 1152, "G2": 12, "H3": 120,
     "I2(3)": 6, "I2(4)": 8, "I2(5)": 10, "I2(6)": 12, "I2(10)": 20,
+    "I2(7)": 14, "I2(8)": 16, "I2(12)": 24, "H3+I2(7)": 1680,
 }
 
 
@@ -37,11 +37,17 @@ def test_composite_group_order():
     assert group.order == 24
 
 
-def test_matrix_free_factor_is_refused():
-    with pytest.raises(MatrixFreeSystemError):
-        generate_group(system_from_spec("I2(7)"))
-    with pytest.raises(MatrixFreeSystemError):
-        generate_group(system_from_spec("B2+I2(11)"))
+def test_every_dihedral_factor_is_enumerated():
+    # factors without a Cartan matrix over Z[phi] once had no model at all
+    assert generate_group(system_from_spec("I2(7)")).order == 14
+    assert generate_group(system_from_spec("B2+I2(11)")).order == 8 * 22
+
+
+def test_wide_coordinate_rings_are_refused():
+    # 54 roots and |W| = 5544, but coordinates in Z[2cos(pi/693)], whose
+    # degree is 180; the refusal comes before any root is built
+    with pytest.raises(BudgetExceededError, match=r"2cos\(pi/693\)"):
+        generate_group(system_from_spec("I2(7)+I2(9)+I2(11)"))
 
 
 def test_heavy_groups_need_the_flag():
@@ -90,11 +96,12 @@ def test_composition_associates():
 
 def test_generators_are_involutive_reflections():
     group = shared_group(system_from_spec("H3"))
+    ring = group.system.ring
     for g in group.generators:
         assert compose(g, g) == group.identity
         m = to_matrix(g)
-        assert m.det() == -ONE
-        assert m * m == Matrix.identity(3)
+        assert m.det() == ring.integer(-1)
+        assert m * m == Matrix.identity(3, ring)
 
 
 def test_matrices_form_a_representation():
@@ -111,23 +118,23 @@ def test_matrices_form_a_representation():
 def test_generator_matrices_equal_literal_reflections():
     # s_k(alpha_j) = alpha_j - a_kj alpha_k: the identity with row k
     # replaced by e_k - (row k of the Cartan matrix)
-    for label in ("B3", "H3", "I2(10)"):
+    for label in ("B3", "H3", "I2(10)", "I2(7)", "H3+I2(8)"):
         system = system_from_spec(label)
-        group = shared_group(system)
-        identity = Matrix.identity(system.rank).rows
+        group, ring = shared_group(system), system.ring
+        identity = Matrix.identity(system.rank, ring).rows
         for k, g in enumerate(group.generators):
             rows = list(identity)
-            rows[k] = tuple(e - a for e, a in zip(identity[k], system.cartan[k]))
-            assert g.matrix() == Matrix(rows), (label, k)
+            rows[k] = tuple(map(ring.sub, identity[k], system.cartan[k]))
+            assert g.matrix() == Matrix(rows, ring), (label, k)
 
 
 def test_matrices_preserve_the_gram_form():
     # a symmetric Cartan matrix is a multiple of the Gram matrix of the
     # simple roots, so every element preserves it
-    for label in ("A2", "H3", "I2(5)"):
+    for label in ("A2", "H3", "I2(5)", "I2(7)", "I2(9)+A1"):
         system = system_from_spec(label)
         group = shared_group(system)
-        form = Matrix(system.cartan)
+        form = Matrix(system.cartan, system.ring)
         for i in range(group.order):
             m = group.span_matrix_of(i)
             assert m.transpose() * form * m == form, label
@@ -135,7 +142,7 @@ def test_matrices_preserve_the_gram_form():
 
 def test_minus_identity_detection_matches_classification():
     for label in ("A1", "A2", "B2", "B3", "D4", "D5", "G2", "F4", "H3",
-                  "I2(5)", "I2(6)"):
+                  "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(15)+I2(12)"):
         system = system_from_spec(label)
         group = shared_group(system)
         expected = all(f.contains_minus_identity for f in system.factors)
@@ -149,11 +156,12 @@ def test_minus_identity_gone_once_a_fixed_line_exists():
 
 def test_determinant_tracks_word_parity():
     group = shared_group(system_from_spec("G2"))
+    ring = group.system.ring
     # generators have det -1, so any product of k of them has det (-1)^k
     a, b = group.generators
     g = compose(a, b)
-    assert to_matrix(g).det() == ONE
-    assert to_matrix(compose(g, a)).det() == -ONE
+    assert to_matrix(g).det() == ring.one
+    assert to_matrix(compose(g, a)).det() == ring.integer(-1)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -210,6 +218,17 @@ def test_cache_checks_what_the_digest_cannot(tmp_path):
         path.write_bytes(head + hashlib.sha256(payload).digest() + payload)
         with pytest.raises(CacheFormatError, match=message):
             load_group(path)
+
+
+def test_cache_of_a_system_past_the_ring_limit_is_refused(tmp_path):
+    # a header that is right in everything but the system, which could
+    # never have been enumerated; the refusal comes before any root
+    label = b"I2(7)+I2(9)+I2(11)"
+    path = tmp_path / "wide.grp"
+    path.write_bytes(struct.pack("<4sBBH", b"CXGC", 2, 1, len(label)) + label
+                     + struct.pack("<IQH", 54, 5544, 0) + bytes(32))
+    with pytest.raises(CacheFormatError, match="ring limit"):
+        load_group(path)
 
 
 # A2 as saved by cache format version 1, whose roots were ambient vectors

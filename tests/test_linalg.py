@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from coxtraces.field import GOLDEN, ONE, ZERO, FieldElement
 from coxtraces.group import generate_group
-from coxtraces.linalg import (Matrix, dot, lagrange_interpolate, poly_eval,
+from coxtraces.linalg import (Matrix, Ring, coordinate_ring, dot, poly_eval,
                               poly_mul, poly_str)
 from coxtraces.roots import system_from_spec
 
@@ -41,14 +42,57 @@ def field_matrices(draw):
                         for _ in range(n)))
 
 
+def _gauss_det(rows) -> FieldElement:
+    """Determinant by exact Gaussian elimination over Q(sqrt5)."""
+    work = [list(row) for row in rows]
+    n, result = len(work), ONE
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if not work[r][col].is_zero),
+                         None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            result = -result
+        pivot = work[col][col]
+        result = result * pivot
+        for r in range(col + 1, n):
+            factor = work[r][col] / pivot
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return result
+
+
+def _poly_add(p, q):
+    n = max(len(p), len(q))
+    p = tuple(p) + (ZERO,) * (n - len(p))
+    q = tuple(q) + (ZERO,) * (n - len(q))
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def _lagrange_interpolate(points, values) -> tuple:
+    """Exact polynomial through (points[i], values[i]); points are distinct
+    ints."""
+    result = (ZERO,)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        numer, denom = (ONE,), ONE
+        for j, xj in enumerate(points):
+            if j != i:
+                numer = poly_mul(numer, (FieldElement(-xj), ONE))
+                denom = denom * FieldElement(xi - xj)
+        result = _poly_add(result, tuple(yi / denom * a for a in numer))
+    return result
+
+
 def _interpolated_charpoly(m):
-    """det(tI - M) from n + 1 determinants at t = 0, 1, -1, 2, -2, ...
-    and Lagrange interpolation: an independent oracle for charpoly()."""
+    """det(tI - M) from n + 1 Gaussian-elimination determinants at
+    t = 0, 1, -1, 2, -2, ... and Lagrange interpolation: an independent
+    oracle for charpoly()."""
     n = m.nrows
     points = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(n + 1)]
-    values = [(Matrix.identity(n).scale(FieldElement(t)) - m).det()
+    values = [_gauss_det([[(t if i == j else 0) - e for j, e in enumerate(row)]
+                          for i, row in enumerate(m.rows)])
               for t in points]
-    return lagrange_interpolate(points, values)
+    return _lagrange_interpolate(points, values)
 
 
 def test_dot_and_dimension_mismatch():
@@ -95,9 +139,15 @@ def test_charpoly_with_irrational_entries():
 @given(int_matrices_3)
 def test_charpoly_constant_term_is_signed_det(m):
     coeffs = m.charpoly()
-    assert coeffs[0] == -m.det()   # det(tI-M) at t=0 is (-1)^3 det(M)
+    # det(tI-M) at t=0 is (-1)^3 det(M)
+    assert coeffs[0] == -_gauss_det(m.rows)
     assert coeffs[3] == ONE
-    assert coeffs[2] == -m.trace()
+    assert coeffs[2] == -sum((m.rows[i][i] for i in range(3)), ZERO)
+
+
+@given(field_matrices())
+def test_det_equals_gaussian_elimination(m):
+    assert m.det() == _gauss_det(m.rows)
 
 
 @given(field_matrices())
@@ -107,10 +157,14 @@ def test_charpoly_equals_the_interpolation_oracle(m):
 
 @pytest.mark.parametrize("spec", ["H3", "F4", "B2+I2(5)"])
 def test_class_span_matrices_match_the_interpolation_oracle(spec):
+    # the ring's Berkowitz against determinants in Q(sqrt5)
     group = generate_group(system_from_spec(spec))
+    to_field = group.system.ring.to_field
     for members in group.class_orbits():
         span = group.span_matrix_of(members[0])
-        assert span.charpoly() == _interpolated_charpoly(span)
+        as_field = Matrix([[to_field(e) for e in row] for row in span.rows])
+        assert tuple(map(to_field, span.charpoly())) == \
+            _interpolated_charpoly(as_field)
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6))
@@ -118,7 +172,7 @@ def test_interpolation_recovers_polynomial(int_coeffs):
     coeffs = tuple(_f(c) for c in int_coeffs)
     points = list(range(len(coeffs)))
     values = [poly_eval(coeffs, _f(x)) for x in points]
-    recovered = lagrange_interpolate(points, values)
+    recovered = _lagrange_interpolate(points, values)
     padded = recovered + (ZERO,) * (len(coeffs) - len(recovered))
     assert padded == coeffs
 
@@ -136,3 +190,61 @@ def test_poly_str_rendering():
     assert poly_str((_f(1), _f(2), _f(1))) == "t^2 + 2*t + 1"
     assert poly_str((ZERO,)) == "0"
     assert poly_str((GOLDEN, ONE)) == "t + (1/2+1/2*sqrt5)"
+
+
+def _value(ring, e) -> float:
+    eta = 2 * math.cos(math.pi / ring.n)
+    return sum(x * eta ** j for j, x in enumerate(e))
+
+
+def _euler_phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6, 7, 8, 9, 12, 15, 35, 64, 127])
+def test_ring_is_reduced_by_the_minimal_polynomial_of_eta(n):
+    ring = Ring(n)
+    # degree phi(2N)/2, and eta^d reduces to a value equal to eta^d
+    assert ring.d == (1 if n == 1 else _euler_phi(2 * n) // 2)
+    top = ring.reduce([0] * ring.d + [1] + [0] * (ring.d - 1))
+    assert _value(ring, top) == pytest.approx(_value(ring, ring.eta) ** ring.d,
+                                              rel=1e-9, abs=1e-9)
+    for k in (2, 3) + tuple(k for k in range(4, n + 1) if n % k == 0):
+        assert _value(ring, ring.two_cos(k)) == \
+            pytest.approx(2 * math.cos(math.pi / k), abs=1e-9), (n, k)
+
+
+golden_pairs = st.tuples(small_ints, small_ints)
+
+
+@given(st.lists(st.tuples(golden_pairs, golden_pairs), max_size=4))
+def test_golden_ring_dot_is_the_phi_squared_rule(pairs):
+    # N = 5: x + y*phi with phi^2 = phi + 1, as the earlier pair arithmetic
+    ring = coordinate_ring(5)
+    sx = sy = 0
+    for (x, y), (u, w) in pairs:
+        sx += x * u + y * w
+        sy += x * w + y * u + y * w
+    assert ring.dot([p for p, _ in pairs], [q for _, q in pairs]) == (sx, sy)
+
+
+@given(st.lists(st.tuples(*[small_ints] * 6), min_size=2, max_size=2))
+def test_ring_product_is_associative_and_commutative(pair):
+    ring = coordinate_ring(9)   # degree 3
+    a, b = pair[0][:3], pair[1][:3]
+    c = pair[0][3:]
+    assert ring.mul(a, b) == ring.mul(b, a)
+    assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+    assert _value(ring, ring.mul(a, b)) == \
+        pytest.approx(_value(ring, a) * _value(ring, b), abs=1e-6)
+
+
+def test_ring_text_and_json_forms():
+    golden, wide = coordinate_ring(5), coordinate_ring(7)
+    assert golden.text((1, 1)) == str(1 + GOLDEN) == "3/2+1/2*sqrt5"
+    assert golden.as_json((0, 1)) == GOLDEN.to_int_tuple()
+    assert wide.text((-1, 2, 1)) == "c7^2 + 2*c7 - 1"
+    assert wide.text(wide.zero) == "0" and wide.text(wide.integer(-3)) == "-3"
+    assert wide.as_json((-1, 2, 1)) == [-1, 2, 1]
+    with pytest.raises(ValueError):
+        wide.to_field(wide.one)

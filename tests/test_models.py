@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from coxtraces.field import GOLDEN, ONE, FieldElement
 from coxtraces.group import shared_group
 from coxtraces.linalg import Matrix
-from coxtraces.models import (Quaternion, build_h3_generators,
-                              h3_charpoly_table_check, h4_class_census,
-                              lr_action_matrix, lr_fixed_point_criterion,
-                              star_action_matrix, unit_icosians)
+from coxtraces.models import (build_h3_generators, h3_charpoly_table_check,
+                              h4_class_census)
 from coxtraces.roots import system_from_spec
 
 from ambient_oracle import ambient_roots, reflection_matrix
+from quaternions import (Quaternion, lr_action_matrix, lr_fixed_point_criterion,
+                         star_action_matrix, unit_icosians)
 
 
 def _q(q0, q1, q2, q3):

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import pytest
 
 from ambient_oracle import ambient_roots, axiom_problems, cartan, simple_roots
-from coxtraces.field import GOLDEN, ONE, ZERO
+from coxtraces.field import GOLDEN, HALF, ZERO
 from coxtraces.group import generate_group, shared_group
-from coxtraces.linalg import Matrix, dot, vadd, vneg, vscale
+from coxtraces.linalg import Matrix, coordinate_ring, dot, vadd, vneg, vscale
 from coxtraces.roots import (Factor, SpecParseError, build_irreducible,
-                             build_system, direct_sum, parse_factor,
-                             parse_system_spec, system_from_spec)
+                             build_system, cartan_matrix, direct_sum,
+                             parse_factor, parse_system_spec, ring_index,
+                             system_from_spec)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A5": 30,
@@ -21,6 +23,7 @@ ROOT_COUNTS = {
     "E6": 72, "E7": 126, "E8": 240,
     "F4": 48, "G2": 12, "H3": 30, "H4": 120,
     "I2(3)": 6, "I2(4)": 8, "I2(5)": 10, "I2(6)": 12, "I2(10)": 20,
+    "I2(7)": 14, "I2(8)": 16, "I2(12)": 24, "I2(127)": 254, "I2(128)": 256,
 }
 
 RANKS = {
@@ -51,9 +54,17 @@ def test_ranks():
 
 
 def test_simple_roots_are_the_unit_vectors():
-    system = system_from_spec("B3+H3")
-    for k, i in enumerate(system.simple_root_indices):
-        assert system.roots[i] == tuple(int(j == k) for j in range(6))
+    for spec in ("B3+H3", "H3+I2(7)"):
+        system = system_from_spec(spec)
+        ring = system.ring
+        for k, i in enumerate(system.simple_root_indices):
+            assert system.roots[i] == tuple(ring.one if j == k else ring.zero
+                                            for j in range(system.rank)), spec
+
+
+def _field(system, vector):
+    """A vector of the library's ring (N = 1 or 5) as FieldElements."""
+    return tuple(map(system.ring.to_field, vector))
 
 
 @lru_cache(maxsize=None)
@@ -66,18 +77,19 @@ def _oracle(label):
 def test_cartan_matrix_matches_the_ambient_oracle(label):
     # entry for entry and in the same node order, so that the generators,
     # element ids and class order are those of the ambient model
-    assert cartan(_oracle(label)) == [list(row) for row in
-                                      system_from_spec(label).cartan]
+    system = system_from_spec(label)
+    assert cartan(_oracle(label)) == [list(_field(system, row))
+                                      for row in system.cartan]
 
 
 @pytest.mark.parametrize("label", ORACLE_LABELS)
 def test_roots_match_the_ambient_oracle(label):
     # sum_i c_i alpha_i over the library's roots c gives the oracle's roots
-    simple = _oracle(label)
+    simple, system = _oracle(label), system_from_spec(label)
     image = set()
-    for coords in system_from_spec(label).roots:
+    for coords in system.roots:
         vector = (ZERO,) * len(simple[0])
-        for c, alpha in zip(coords, simple):
+        for c, alpha in zip(_field(system, coords), simple):
             vector = vadd(vector, vscale(c, alpha))
         image.add(vector)
     assert image == set(ambient_roots(label))
@@ -96,16 +108,19 @@ def _symmetrizer(c, d0):
 @pytest.mark.parametrize("label", [x for x in ORACLE_LABELS if x != "D2"])
 def test_gram_matrix_is_the_symmetrized_cartan_matrix(label):
     # D2 = A1+A1 is left out: its diagram is not connected
-    simple, c = _oracle(label), system_from_spec(label).cartan
+    system = system_from_spec(label)
+    simple = _oracle(label)
+    c = [_field(system, row) for row in system.cartan]
     d = _symmetrizer(c, dot(simple[0], simple[0]) / 2)
     assert [[d[i] * a for a in row] for i, row in enumerate(c)] == \
         [[dot(a, b) for b in simple] for a in simple]
 
 
 def test_validation_everywhere():
+    # E7 and E8 get their own tests; the oracle has no model of I2(m), m > 6
     for label in ROOT_COUNTS:
-        if label in ("E7", "E8", "I2(10)"):
-            continue   # E7 and E8 get their own tests; I2(10) has no model
+        if label in ("E7", "E8") or label not in ORACLE_LABELS:
+            continue
         problems = axiom_problems(ambient_roots(label))
         assert not problems, f"{label}: {problems}"
 
@@ -114,9 +129,21 @@ def test_validation_e7():
     assert not axiom_problems(ambient_roots("E7"))
 
 
-@pytest.mark.heavy
 def test_validation_e8():
     assert not axiom_problems(ambient_roots("E8"))
+
+
+@pytest.mark.parametrize("label", ["E8", "H4", "B5"])
+def test_a_wrong_root_fails_the_axioms(label):
+    # move one +-root pair by half a unit vector: negatives, lines and
+    # duplicates still pass, so the reflection axiom must catch it
+    roots = ambient_roots(label)
+    wrong = vadd(roots[0], (HALF,) + (ZERO,) * (len(roots[0]) - 1))
+    assert wrong not in roots
+    mutated = roots[1:] + [wrong]
+    mutated[mutated.index(vneg(roots[0]))] = vneg(wrong)
+    problems = axiom_problems(mutated)
+    assert problems and all(p.startswith("reflection in") for p in problems)
 
 
 def test_cartan_build_refuses_a_wrong_root_count(monkeypatch):
@@ -177,32 +204,50 @@ def test_noncanonical_low_rank_d():
     assert Factor("D", 4).canonical
 
 
+def _value(ring, e) -> float:
+    """A ring element as a float, with eta = 2cos(pi/N)."""
+    eta = 2 * math.cos(math.pi / ring.n)
+    return sum(x * eta ** j for j, x in enumerate(e))
+
+
 def test_matrix_model_availability():
-    assert Factor("I", 5).has_matrix_model
-    assert Factor("I", 6).has_matrix_model
-    assert Factor("I", 10).has_matrix_model
-    assert not Factor("I", 7).has_matrix_model
-    assert not Factor("I", 8).has_matrix_model
-    assert not Factor("I", 30).has_matrix_model
-    assert Factor("H", 4).has_matrix_model
+    # every factor has a Cartan matrix, with a_01 a_10 = 4cos^2(pi/m) for
+    # I2(m)
+    for m in (3, 4, 5, 6, 7, 8, 9, 10, 12, 30, 127, 128, 1000):
+        factor = Factor("I", m)
+        ring = coordinate_ring(ring_index([factor]))
+        c = cartan_matrix(factor, ring)
+        assert _value(ring, ring.mul(c[0][1], c[1][0])) == \
+            pytest.approx(4 * math.cos(math.pi / m) ** 2), m
+    assert len(cartan_matrix(Factor("H", 4))) == 4
 
 
 def test_dihedral_models_are_planar():
-    # in simple-root coordinates every modeled dihedral lives in the plane,
-    # with a_01 a_10 = 4 cos^2(pi/m)
+    # in simple-root coordinates every dihedral lives in the plane, with
+    # a_01 a_10 = 4 cos^2(pi/m); the five pairs of earlier releases keep
+    # their orientation
     products = {3: 1, 4: 2, 5: GOLDEN * GOLDEN, 6: 3, 10: 2 + GOLDEN}
+    pairs = {3: (-1, -1), 4: (-2, -1), 5: (-GOLDEN, -GOLDEN), 6: (-3, -1),
+             10: (-1, -2 - GOLDEN)}
     for m, product in products.items():
         system = build_irreducible(Factor("I", m))
+        to_field = system.ring.to_field
         assert system.rank == 2
         assert {len(r) for r in system.roots} == {2}
-        assert system.cartan[0][1] * system.cartan[1][0] == product, m
+        a01, a10 = system.cartan[0][1], system.cartan[1][0]
+        assert to_field(system.ring.mul(a01, a10)) == product, m
+        assert (to_field(a01), to_field(a10)) == pairs[m], m
 
 
-def test_matrix_free_shell():
-    system = build_irreducible(Factor("I", 7))
-    assert system.matrix_free
-    assert system.roots == ()
-    assert system.known_order == 14
+def test_odd_dihedral_has_a_symmetric_cartan_matrix():
+    # a_01 = a_10 = -2cos(pi/m): with (-1, -4cos^2(pi/m)) instead, the
+    # orbit of the simple roots of I2(5) has 20 vectors of two lengths
+    for m in (7, 9, 15, 105, 127):
+        system = build_irreducible(Factor("I", m))
+        assert system.cartan[0][1] == system.cartan[1][0], m
+        assert system.ring.n == m
+        assert len(system.roots) == 2 * m
+        assert system.known_order == 2 * m
 
 
 def test_empty_system_contributes_a_fixed_line():
@@ -210,7 +255,6 @@ def test_empty_system_contributes_a_fixed_line():
     assert system.rank == 0
     assert system.trivial_dims == 1
     assert system.roots == ()
-    assert not system.matrix_free
 
 
 def test_direct_sum_bookkeeping():
@@ -223,12 +267,22 @@ def test_direct_sum_bookkeeping():
     assert generate_group(total).order == 8 * 6
 
 
-def test_composite_with_empty_and_free_parts():
+def test_direct_sum_needs_one_ring():
+    with pytest.raises(ValueError, match="different coordinate rings"):
+        direct_sum(system_from_spec("B2"), system_from_spec("H3"))
+    ring = system_from_spec("H3").ring
+    total = direct_sum(build_irreducible(Factor("B", 2), ring),
+                       system_from_spec("H3"))
+    assert total.ring.n == 5 and total.label == "B2+H3"
+
+
+def test_composite_with_empty_and_dihedral_parts():
     system = system_from_spec("B2+I2(9)+A0")
-    assert system.matrix_free
     assert system.trivial_dims == 1
     assert system.known_order == 8 * 18 * 1
     assert system.label == "B2+I2(9)+A0"
+    assert system.ring.n == 9
+    assert len(system.roots) == 8 + 18
 
 
 def test_build_system_roundtrip():
@@ -239,12 +293,14 @@ def test_build_system_roundtrip():
 
 
 def test_direct_sum_validates():
-    # the roots of a sum are those of its factors, padded with zeros
-    for spec in ("A3+I2(5)", "B3+A1", "D4+B2", "G2+A2+A1"):
+    # the roots of a sum are those of its factors, each built in the ring
+    # of the sum and padded with zeros
+    for spec in ("A3+I2(5)", "B3+A1", "D4+B2", "G2+A2+A1", "I2(7)+H3"):
         system, at = system_from_spec(spec), 0
+        zero = system.ring.zero
         for factor in system.factors:
-            block = build_irreducible(factor)
-            pad = (ZERO,) * at, (ZERO,) * (system.rank - at - block.rank)
+            block = build_irreducible(factor, system.ring)
+            pad = (zero,) * at, (zero,) * (system.rank - at - block.rank)
             assert {pad[0] + r + pad[1] for r in block.roots} <= \
                 set(system.roots), spec
             at += block.rank
@@ -252,24 +308,29 @@ def test_direct_sum_validates():
                    for f in spec.split("+")) == len(system.roots)
 
 
+def _neg(system, root):
+    return tuple(map(system.ring.neg, root))
+
+
 def test_reflection_fixes_orthogonal_and_negates_root():
-    system = system_from_spec("B3")
-    group = shared_group(system)
-    for k, (i, perm) in enumerate(zip(system.simple_root_indices,
-                                      system.simple_reflections)):
-        assert system.roots[perm[i]] == vneg(system.roots[i])
-        # beta is orthogonal to alpha_k exactly when sum_j a_kj beta_j = 0
-        for b, beta in enumerate(system.roots):
-            if sum((a * c for a, c in zip(system.cartan[k], beta)),
-                   ZERO).is_zero:
-                assert perm[b] == b
-        m = group.generators[k].matrix()
-        assert m * m == Matrix.identity(3)
-        assert m.det() == -ONE
+    for spec, rank in (("B3", 3), ("I2(9)+A1", 3)):
+        system = system_from_spec(spec)
+        group, ring = shared_group(system), system.ring
+        for k, (i, perm) in enumerate(zip(system.simple_root_indices,
+                                          system.simple_reflections)):
+            assert system.roots[perm[i]] == _neg(system, system.roots[i])
+            # beta is orthogonal to alpha_k exactly when sum_j a_kj beta_j = 0
+            for b, beta in enumerate(system.roots):
+                if ring.dot(system.cartan[k], beta) == ring.zero:
+                    assert perm[b] == b
+            m = group.generators[k].matrix()
+            assert m * m == Matrix.identity(rank, ring)
+            assert m.det() == ring.integer(-1)
 
 
 def test_reflect_permutes_the_root_set():
-    for label in ("A2", "B3", "G2", "H3", "I2(5)", "I2(10)", "D4+A1"):
+    for label in ("A2", "B3", "G2", "H3", "I2(5)", "I2(10)", "D4+A1",
+                  "I2(7)", "I2(8)+H3"):
         system = system_from_spec(label)
         identity = bytes(range(len(system.roots)))
         for perm in system.simple_reflections:   # involutions, so bijections
@@ -284,25 +345,28 @@ def test_root_permutation_is_a_permutation():
 
 
 def test_roots_come_in_opposite_pairs():
-    system = system_from_spec("F4")
-    index = system.root_index
-    for root in system.roots:
-        assert index[vneg(root)] != index[root]
+    for spec in ("F4", "I2(12)"):
+        system = system_from_spec(spec)
+        index = system.root_index
+        for root in system.roots:
+            assert index[_neg(system, root)] != index[root]
 
 
 def test_highest_h3_root_reflection_has_golden_entries():
     # the highest H3 root has golden coordinates in the simple basis; the
     # reflection in it, w s_i w^-1 for w sending alpha_i to it, has a
-    # matrix that is rational only in the golden ratio
+    # matrix that is rational only in the golden ratio; ring elements of
+    # Z[phi] are pairs x + y*phi
     system = system_from_spec("H3")
-    group = shared_group(system)
-    top = max(range(len(system.roots)), key=lambda r: sum(system.roots[r]))
-    assert not all(c.is_rational for c in system.roots[top])
+    group, ring = shared_group(system), system.ring
+    top = max(range(len(system.roots)),
+              key=lambda r: sum(_field(system, system.roots[r])))
+    assert any(y for _, y in system.roots[top])
     w = next(w for w in range(group.order)
              if group.perms[w][system.simple_root_indices[0]] == top)
     s0 = group.generator_ids[0]
     m = group.span_matrix_of(group.compose_ids(group.compose_ids(w, s0),
                                                group.inverse_id(w)))
-    assert m * m == Matrix.identity(3)
-    assert m.det() == -ONE
-    assert not all(entry.is_rational for row in m.rows for entry in row)
+    assert m * m == Matrix.identity(3, ring)
+    assert m.det() == ring.integer(-1)
+    assert any(y for row in m.rows for _, y in row)
