@@ -1,17 +1,19 @@
 """Conjugacy classes, eigenvalue flags and the trace/supertrace counts.
 
 The brute-force path enumerates classes as orbits under conjugation by
-the group generators and reads eigenvalue membership off the exact
-characteristic polynomial of each class, over the system's ring.  The
-closed-form path multiplies the per-factor formulas and works on parsed
-Factors only: it never builds a root system.  Both are exposed through
-count(), and the theorem checker compares the equality case T = S
-against actual -identity membership.
+a certified generating set of the group (Group.walk_set), reads
+eigenvalue membership off the exact characteristic polynomial of each
+class, over the system's ring, and checks the class sizes against the
+degrees of the basic invariants.  The closed-form path multiplies the
+per-factor formulas and works on parsed Factors only: it never builds a
+root system.  Both are exposed through count(), and the theorem checker
+compares the equality case T = S against actual -identity membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .field import FieldElement
 from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
@@ -95,7 +97,37 @@ def conjugacy_classes(group: Group, check_all_members: bool = False):
     total = sum(c.size for c in out)
     if total != group.order:
         raise RuntimeError(f"classes cover {total} of {group.order} elements")
+    _certify_fixed_dims(system, out)
     return out
+
+
+def _fixed_dim(char_poly) -> int:
+    """dim Fix M, the multiplicity of the root 1 of det(tI - M) (M is
+    orthogonal, so diagonalizable): repeated synthetic division by t - 1,
+    additions only."""
+    poly, dim = list(char_poly), 0
+    while not any(map(sum, zip(*poly))):
+        quotient = [poly[-1]]
+        for c in reversed(poly[1:-1]):
+            quotient.append(tuple(map(add, c, quotient[-1])))
+        poly, dim = quotient[::-1], dim + 1
+    return dim
+
+
+def _certify_fixed_dims(system: RootSystem, classes) -> None:
+    """Raise unless sum_C |C| t^(dim Fix w_C) = t^trivial_dims prod_i
+    (t + d_i - 1) over the degrees d_i (Shephard-Todd 1954, Solomon 1963)."""
+    found = [0] * (system.rank + system.trivial_dims + 1)
+    for c in classes:
+        found[_fixed_dim(c.char_poly) + system.trivial_dims] += c.size
+    expected = [0] * system.trivial_dims + [1]
+    for d in (d for f in system.factors for d in f.degrees):
+        # multiply by t + d - 1
+        expected = [(d - 1) * a + b for a, b in zip(expected + [0],
+                                                    [0] + expected)]
+    if found != expected:
+        raise RuntimeError(f"class sizes by fixed dimension {found} are not "
+                           f"the degree product {expected} of {system.label}")
 
 
 def count_brute_force(group: Group) -> TraceCount:

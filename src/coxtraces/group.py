@@ -21,10 +21,12 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import reduce
 
 from .linalg import Matrix
-from .roots import (RootSystem, closure, orbits, parse_system_spec,
-                    ring_index, system_from_spec, system_label, system_order)
+from .roots import (BudgetExceededError, RootSystem, checked_ring_index,
+                    closure, orbits, parse_system_spec, system_from_spec,
+                    system_label, system_order)
 
 DEFAULT_BUDGET = 10_000_000
 # enumerations past this order (W(E7), D8, A9, ...) must be asked for explicitly
@@ -33,16 +35,9 @@ HEAVY_THRESHOLD = 1_000_000
 _E8_ORDER = 696_729_600
 
 _MAX_ROOTS = 256  # one byte per root
-# the widest coordinate ring, Z[2cos(pi/128)] of degree 64; every single
-# I2(m) within the root limit needs N <= 127
-_MAX_RING_INDEX = 128
 
 _CACHE_MAGIC = b"CXGC"
 CACHE_VERSION = 2
-
-
-class BudgetExceededError(RuntimeError):
-    """Requested enumeration is larger than the configured budget allows."""
 
 
 @dataclass(frozen=True)
@@ -117,10 +112,26 @@ class Group:
 
     def class_orbits(self):
         """Conjugacy classes as id lists: orbits under conjugation by the
-        generators, which generate the group and are their own inverses."""
-        gens = [(self.perms[i], _table(self.perms[i]))
-                for i in self.generator_ids]
-        return orbits(self.perms, self.index, gens, _conjugate)
+        walk set, which certifiably generates the group."""
+        walk = self.walk_set()
+        _certify_walk_set(walk, [self.perms[i] for i in self.generator_ids])
+        return orbits(self.perms, self.index, [_walker(g) for g in walk],
+                      _conjugate)
+
+    def walk_set(self) -> list:
+        """A small generating set to conjugate by: the Coxeter element
+        c = s_1 s_2 ... s_r, then each simple reflection, in order, that
+        the reflections chosen so far do not reach by conjugation under
+        the set; the simple reflections themselves when that is no
+        smaller (B2, G2, every I2(m)).  A0 has no generators."""
+        simple = [self.perms[i] for i in self.generator_ids]
+        if not simple:
+            return []
+        walk = [reduce(_compose, simple)]
+        for s in simple:
+            if s not in _reach(walk, simple):
+                walk.append(s)
+        return walk if len(walk) < len(simple) else simple
 
 
 def _table(p: bytes) -> bytes:
@@ -138,10 +149,33 @@ def _invert(p: bytes) -> bytes:
     return bytes.maketrans(p, bytes(range(len(p))))[:len(p)]
 
 
+def _walker(g: bytes) -> tuple:
+    """The (inverse, table) pair of g that _conjugate takes."""
+    return _invert(g), _table(g)
+
+
 def _conjugate(x: bytes, g) -> bytes:
-    """g x g for g = (perm, its table), a reflection."""
-    perm, table = g
-    return perm.translate(x.translate(table).ljust(256, b"\x00"))
+    """g x g^-1 for g given as (its inverse, its table)."""
+    inverse, table = g
+    return inverse.translate(x.translate(table).ljust(256, b"\x00"))
+
+
+def _reach(walk, simple) -> dict:
+    """The conjugates, under the group the walk set generates, of the
+    simple reflections in it: every one lies in that group."""
+    seeds = [g for g in walk if g in simple]
+    return closure(seeds, [_walker(g) for g in walk], _conjugate)[1]
+
+
+def _certify_walk_set(walk, simple) -> None:
+    """Raise unless every simple reflection is a conjugate of one in the
+    walk set under the walk set: then the set generates W, and its
+    conjugation orbits are the conjugacy classes of W."""
+    reached = _reach(walk, simple)
+    missing = [k for k, s in enumerate(simple) if s not in reached]
+    if missing:
+        raise RuntimeError(f"the class walk set does not reach the simple "
+                           f"reflections {missing}; it may not generate W")
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -170,11 +204,7 @@ def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
         raise BudgetExceededError(
             f"{label} has {n} roots; enumeration stores one byte per "
             f"root, so it is limited to {_MAX_ROOTS} roots")
-    index = ring_index(factors)
-    if index > _MAX_RING_INDEX:
-        raise BudgetExceededError(
-            f"{label} needs coordinates in Z[2cos(pi/{index})]; enumeration "
-            f"is limited to N <= {_MAX_RING_INDEX}")
+    checked_ring_index(factors)
     estimate = system_order(factors)
     if any(f.family == "E" and f.n == 8 for f in factors) and not allow_e8:
         raise BudgetExceededError(
@@ -303,9 +333,10 @@ def load_group(path) -> Group:
     if n > _MAX_ROOTS or n != sum(f.root_count for f in factors):
         raise CacheFormatError(
             f"{path}: root count {n} does not match the {label} model")
-    if ring_index(factors) > _MAX_RING_INDEX:
-        raise CacheFormatError(f"{path}: {label} is past the ring limit "
-                               f"N <= {_MAX_RING_INDEX}")
+    try:
+        checked_ring_index(factors)
+    except BudgetExceededError as exc:
+        raise CacheFormatError(f"{path}: {exc}") from exc
     if order != system_order(factors):
         raise CacheFormatError(
             f"{path}: order {order} does not match |W({label})| = "

@@ -54,8 +54,17 @@ _EXCEPTIONAL = {
 _I2_CRYSTAL = {4: (-2, -1), 6: (-3, -1)}
 
 
+# the widest coordinate ring, Z[2cos(pi/128)] of degree 64; every single
+# I2(m) within the 256-root limit of enumeration needs N <= 127
+_MAX_RING_INDEX = 128
+
+
 class SpecParseError(ValueError):
     """Raised for malformed or out-of-range system descriptions."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A request is past the engine's limits or the enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -169,6 +178,22 @@ def ring_index(factors) -> int:
     return index
 
 
+def checked_ring_index(factors) -> int:
+    """ring_index, refused past _MAX_RING_INDEX before any ring is built:
+    the ring alone can take longer to construct than any enumeration."""
+    index = ring_index(factors)
+    if index > _MAX_RING_INDEX:
+        raise BudgetExceededError(
+            f"{system_label(factors)} needs coordinates in "
+            f"Z[2cos(pi/{index})], past the ring limit "
+            f"N <= {_MAX_RING_INDEX}")
+    return index
+
+
+def _ring_of(factors) -> Ring:
+    return coordinate_ring(checked_ring_index(factors))
+
+
 # -- Cartan matrices and root closure -------------------------------------------
 
 
@@ -199,7 +224,7 @@ def _dihedral_pair(m: int, ring: Ring) -> tuple:
 def cartan_matrix(factor: Factor, ring: Ring | None = None) -> tuple:
     """The Cartan matrix a_ij = <alpha_j, alpha_i^vee> in simple-root
     order, over the factor's own ring unless another one is given."""
-    ring = ring or coordinate_ring(ring_index((factor,)))
+    ring = ring or _ring_of((factor,))
     n = factor.rank
     rows = [[ring.integer(2 if i == j else 0) for j in range(n)]
             for i in range(n)]
@@ -343,7 +368,7 @@ class RootSystem:
 def build_irreducible(factor: Factor, ring: Ring | None = None) -> RootSystem:
     """Roots of one irreducible factor (none for A0), over the factor's own
     ring unless another one is given."""
-    ring = ring or coordinate_ring(ring_index((factor,)))
+    ring = ring or _ring_of((factor,))
     cartan = cartan_matrix(factor, ring)
     roots, _ = closure(_units(ring, len(cartan)), _reflections(ring, cartan),
                        lambda beta, s: s(beta))
@@ -372,7 +397,7 @@ def build_system(factors) -> RootSystem:
     factors = tuple(factors)
     if not factors:
         raise SpecParseError("a system needs at least one factor")
-    ring = coordinate_ring(ring_index(factors))
+    ring = _ring_of(factors)
     system = build_irreducible(factors[0], ring)
     for factor in factors[1:]:
         system = direct_sum(system, build_irreducible(factor, ring))

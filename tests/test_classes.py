@@ -7,7 +7,8 @@ import pytest
 from coxtraces.classes import (conjugacy_classes, count, count_brute_force,
                                has_eigenvalue, verify_inequality_theorem)
 from coxtraces.field import ONE
-from coxtraces.group import shared_group
+from coxtraces.group import generate_group, shared_group
+from coxtraces.linalg import Matrix
 from coxtraces.partitions import closed_form_count, dihedral_classes
 from coxtraces.roots import parse_factor, system_from_spec
 
@@ -43,6 +44,56 @@ def test_full_cycle_has_no_fixed_vector():
     assert len(cycles) == 1
     assert cycles[0].char_poly_str == "t^2 + t + 1"
     assert cycles[0].size == 2
+
+
+@pytest.mark.parametrize("label", ["A0", "A1+A0", "B2+I2(5)+A0", "D4",
+                                   "F4", "H3+I2(7)", "I2(12)"])
+def test_fixed_dimensions_follow_the_degrees(label):
+    # conjugacy_classes raises unless sum_C |C| t^(dim Fix) is
+    # t^trivial_dims prod (t + d_i - 1); at t = 0 that counts the elements
+    # of the classes that T counts
+    system = system_from_spec(label)
+    group = shared_group(system)
+    classes = conjugacy_classes(group)
+    product = 1
+    for factor in system.factors:
+        for d in factor.degrees:
+            product *= d - 1
+    free = sum(c.size for c in classes if not c.has_plus_one)
+    assert free == (product if system.trivial_dims == 0 else 0)
+
+
+def test_a_mutated_charpoly_fails_the_degree_certificate(monkeypatch):
+    # det(tI - M) replaced by (-1)^r det(-tI - M) for the identity class
+    # alone: (t - 1)^r becomes (t + 1)^r, which keeps det = +-1
+    group = generate_group(system_from_spec("B3"))
+    original = Matrix.charpoly
+    calls = []
+
+    def mutated(self):
+        poly = original(self)
+        calls.append(1)
+        if len(calls) > 1:
+            return poly
+        r = len(poly) - 1
+        ring = group.system.ring
+        return tuple(c if (r - k) % 2 == 0 else ring.neg(c)
+                     for k, c in enumerate(poly))
+    monkeypatch.setattr(Matrix, "charpoly", mutated)
+    with pytest.raises(RuntimeError, match="degree product"):
+        conjugacy_classes(group)
+
+
+def test_a_moved_class_member_fails_the_degree_certificate(monkeypatch):
+    # one member of the reflection class moved to the identity class: the
+    # sizes still cover the group, but not by fixed dimension
+    group = generate_group(system_from_spec("A3"))
+    orbits = group.class_orbits()
+    assert [len(m) for m in orbits[:2]] == [1, 6]
+    moved = [orbits[0] + orbits[1][-1:], orbits[1][:-1]] + orbits[2:]
+    monkeypatch.setattr(group, "class_orbits", lambda: moved)
+    with pytest.raises(RuntimeError, match="degree product"):
+        conjugacy_classes(group)
 
 
 def test_check_all_members_agrees_on_small_groups():

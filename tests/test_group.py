@@ -8,12 +8,14 @@ import struct
 
 import pytest
 
+from coxtraces import roots
 from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
-                             CacheFormatError, compose, contains_minus_identity,
+                             CacheFormatError, Group, _conjugate, _table,
+                             _walker, compose, contains_minus_identity,
                              generate_group, inverse, load_group, save_group,
                              shared_group, to_matrix)
 from coxtraces.linalg import Matrix
-from coxtraces.roots import system_from_spec
+from coxtraces.roots import orbits, system_from_spec
 
 KNOWN_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120,
@@ -48,6 +50,19 @@ def test_wide_coordinate_rings_are_refused():
     # degree is 180; the refusal comes before any root is built
     with pytest.raises(BudgetExceededError, match=r"2cos\(pi/693\)"):
         generate_group(system_from_spec("I2(7)+I2(9)+I2(11)"))
+
+
+def test_library_entry_points_refuse_wide_rings_before_building_one(
+        monkeypatch):
+    # Z[2cos(pi/9009)] has degree 2160: building the ring alone once took
+    # about 25 s, so the refusal must come before coordinate_ring
+    def refuse(n):
+        raise AssertionError(f"coordinate_ring({n}) called")
+    monkeypatch.setattr(roots, "coordinate_ring", refuse)
+    with pytest.raises(BudgetExceededError, match=r"2cos\(pi/9009\)"):
+        system_from_spec("I2(7)+I2(9)+I2(11)+I2(13)")
+    with pytest.raises(BudgetExceededError, match="ring limit"):
+        roots.build_irreducible(roots.parse_factor("I2(129)"))
 
 
 def test_heavy_groups_need_the_flag():
@@ -162,6 +177,69 @@ def test_determinant_tracks_word_parity():
     g = compose(a, b)
     assert to_matrix(g).det() == ring.one
     assert to_matrix(compose(g, a)).det() == ring.integer(-1)
+
+
+def _simple_reflection_walk(group):
+    """The earlier class walk: conjugation by every simple reflection."""
+    gens = [(group.perms[i], _table(group.perms[i]))
+            for i in group.generator_ids]
+    return orbits(group.perms, group.index, gens, _conjugate)
+
+
+@pytest.mark.parametrize("label", ["A0", "A0+A3", "B2", "G2", "I2(8)",
+                                   "I2(127)", "B5+A3", "A1+H4", "E6", "F4",
+                                   "H3+I2(7)"])
+def test_class_walk_equals_the_simple_reflection_walk(label):
+    group = shared_group(system_from_spec(label))
+    walk = group.class_orbits()
+    oracle = _simple_reflection_walk(group)
+    assert [m[0] for m in walk] == [m[0] for m in oracle]
+    assert [set(m) for m in walk] == [set(m) for m in oracle]
+
+
+@pytest.mark.parametrize("label, size", [("A0", 0), ("A1", 1), ("B2", 2),
+                                         ("G2", 2), ("I2(9)", 2), ("H3", 2),
+                                         ("D4", 3), ("F4", 3), ("E6", 2),
+                                         ("B5+A3", 4)])
+def test_walk_set_sizes(label, size):
+    group = shared_group(system_from_spec(label))
+    walk = group.walk_set()
+    assert len(walk) == size
+    if size < group.system.rank:
+        # the Coxeter element s_1 s_2 ... s_r, then simple reflections
+        simple = [group.perms[i] for i in group.generator_ids]
+        c = group.identity
+        for g in group.generators:
+            c = compose(c, g)
+        assert walk[0] == group.perms[c.index]
+        assert all(g in simple for g in walk[1:])
+
+
+def test_conjugate_takes_the_inverse_and_the_table():
+    group = shared_group(system_from_spec("A3"))
+    rng = random.Random(7)
+    for _ in range(20):
+        x, g = (group.element(rng.randrange(group.order)) for _ in range(2))
+        expected = compose(compose(g, x), inverse(g))
+        moved = _conjugate(group.perms[x.index], _walker(group.perms[g.index]))
+        assert group.index[moved] == expected.index
+
+
+def test_walk_set_that_misses_a_reflection_class_is_refused(monkeypatch):
+    # in B4 the short and the long reflections are two classes; without a
+    # long simple reflection the set reaches no long one, and the walk
+    # must refuse rather than print finer classes
+    group = generate_group(system_from_spec("B4"))
+    walk = group.walk_set()
+    long_root = group.perms[group.generator_ids[1]]
+    assert long_root in walk
+    short_only = [g for g in walk if g != long_root]
+    finer = orbits(group.perms, group.index,
+                   [_walker(g) for g in short_only], _conjugate)
+    assert len(finer) > len(group.class_orbits())
+    monkeypatch.setattr(Group, "walk_set", lambda self: short_only)
+    with pytest.raises(RuntimeError, match="does not reach"):
+        group.class_orbits()
 
 
 def test_cache_roundtrip(tmp_path):
