@@ -199,6 +199,16 @@ def test_table_all_matches_golden_text(capsys):
     assert out == (GOLDEN / "table_all.md").read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("verify", "appendices"), "verify_appendices.txt"),
+    (("verify", "lemma", "--degree", "120"), "verify_lemma_120.txt"),
+])
+def test_verify_output_matches_golden_text(capsys, argv, golden):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_table_json_fixture(capsys):
     code, out, _ = _run(capsys, "table", "all", "--format", "json")
     assert code == 0
