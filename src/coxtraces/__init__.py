@@ -12,26 +12,21 @@ routes against each other.
 
 from __future__ import annotations
 
-from .field import GOLDEN, HALF, ONE, SQRT5, ZERO, FieldElement
-from .linalg import Matrix, Ring, dot, poly_eval, poly_mul, poly_str
+from .linalg import Matrix, Ring, poly_str
 from .roots import (Factor, RootSystem, SpecParseError, build_irreducible,
                     build_system, cartan_matrix, parse_factor,
                     parse_system_spec, system_from_spec)
 from .group import (DEFAULT_BUDGET, HEAVY_THRESHOLD, BudgetExceededError,
                     CacheFormatError, Group, GroupElement, generate_group,
                     load_group, save_group, shared_group)
-from .partitions import (DihedralClassSummary, LemmaVerdict, SignedCycleType,
-                         TraceCount, bn_dn_class_enumeration,
-                         bn_dn_trace_counts, closed_form_count,
-                         dihedral_classes, distinct_odd_partitions,
-                         lemma_identity_check, partition_count,
-                         partitions_distinct_parts,
-                         partitions_even_count_of_even_parts,
-                         partitions_even_summand_count,
+from .partitions import (DihedralClassSummary, LemmaVerdict, TraceCount,
+                         closed_form_count, dihedral_classes,
+                         distinct_odd_partitions, lemma_identity_check,
+                         partition_count, partitions_even_summand_count,
                          partitions_odd_parts, partitions_odd_summand_count)
 from .classes import (ConjugacyClass, FactorMinusIdentity, InequalityVerdict,
                       conjugacy_classes, count, count_brute_force,
-                      has_eigenvalue, verify_inequality_theorem)
+                      verify_inequality_theorem)
 from .models import (H3Generators, H3TableVerdict, H4CensusVerdict,
                      build_h3_generators, h3_charpoly_table_check,
                      h4_class_census)
@@ -39,23 +34,20 @@ from .models import (H3Generators, H3TableVerdict, H4CensusVerdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldElement", "ZERO", "ONE", "HALF", "SQRT5", "GOLDEN",
-    "Matrix", "Ring", "dot", "poly_eval", "poly_mul",
-    "poly_str",
+    "Matrix", "Ring", "poly_str",
     "Factor", "RootSystem", "SpecParseError", "build_irreducible",
     "build_system", "cartan_matrix", "parse_factor", "parse_system_spec",
     "system_from_spec",
     "Group", "GroupElement", "BudgetExceededError", "CacheFormatError",
     "DEFAULT_BUDGET", "HEAVY_THRESHOLD",
     "generate_group", "shared_group", "save_group", "load_group",
-    "TraceCount", "SignedCycleType", "LemmaVerdict", "DihedralClassSummary",
+    "TraceCount", "LemmaVerdict", "DihedralClassSummary",
     "closed_form_count", "partition_count", "partitions_odd_parts",
-    "partitions_distinct_parts", "distinct_odd_partitions",
-    "partitions_even_summand_count", "partitions_odd_summand_count",
-    "partitions_even_count_of_even_parts", "lemma_identity_check",
-    "bn_dn_class_enumeration", "bn_dn_trace_counts", "dihedral_classes",
+    "distinct_odd_partitions", "partitions_even_summand_count",
+    "partitions_odd_summand_count", "lemma_identity_check",
+    "dihedral_classes",
     "ConjugacyClass", "FactorMinusIdentity", "InequalityVerdict",
-    "conjugacy_classes", "count", "count_brute_force", "has_eigenvalue",
+    "conjugacy_classes", "count", "count_brute_force",
     "verify_inequality_theorem",
     "H3Generators", "H3TableVerdict", "H4CensusVerdict",
     "build_h3_generators", "h3_charpoly_table_check", "h4_class_census",

@@ -2,11 +2,12 @@
 
 The brute-force path enumerates classes as orbits under conjugation by
 a certified generating set of the group (Group.walk_set), reads
-eigenvalue membership off the exact characteristic polynomial of each
-class, over the system's ring, and checks the class sizes against the
-degrees of the basic invariants.  The closed-form path multiplies the
-per-factor formulas and works on parsed Factors only: it never builds a
-root system.  Both are exposed through count(), and the theorem checker
+eigenvalue membership and the determinant off the exact characteristic
+polynomial of one representative per class, over the system's ring
+Z[2cos(pi/N)], and checks the class sizes against the degrees of the
+basic invariants.  The closed-form path multiplies the per-factor
+formulas and works on parsed Factors only: it never builds a root
+system.  Both are exposed through count(), and the theorem checker
 compares the equality case T = S against actual -identity membership.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .field import FieldElement
 from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
                     check_enumerable, contains_minus_identity, generate_group,
                     shared_group)
@@ -29,11 +29,11 @@ from .roots import (RootSystem, build_irreducible, build_system,
 class ConjugacyClass:
     """One conjugacy class: representative of minimal id plus invariants.
     The charpoly coefficients are elements of the system's ring, and the
-    determinant is +-1."""
+    determinant is the int +1 or -1."""
 
     representative: GroupElement
     size: int
-    det: FieldElement
+    det: int
     char_poly: tuple
     has_plus_one: bool
     has_minus_one: bool
@@ -55,23 +55,11 @@ def _eigen_flags(system: RootSystem, char_poly) -> tuple:
     return plus, minus
 
 
-def has_eigenvalue(g: GroupElement, value: int) -> bool:
-    """Exact test for eigenvalue +1 or -1 on the counting space."""
-    if value not in (1, -1):
-        raise ValueError("only the eigenvalues +1 and -1 are tracked")
-    group = g.group
-    plus, minus = _eigen_flags(group.system,
-                               group.span_matrix_of(g.index).charpoly())
-    return plus if value == 1 else minus
-
-
-def conjugacy_classes(group: Group, check_all_members: bool = False):
+def conjugacy_classes(group: Group):
     """All conjugacy classes, ordered by minimal element id.
 
     Eigen flags and determinant come from one characteristic polynomial
-    per class (det M = (-1)^d det(0I - M)).  With check_all_members the
-    eigen flags are recomputed for every member instead of the
-    representative only — a class-function sanity mode for small groups.
+    per class (det M = (-1)^d det(0I - M)).
     """
     system = group.system
     out = []
@@ -80,19 +68,12 @@ def conjugacy_classes(group: Group, check_all_members: bool = False):
         span = group.span_matrix_of(seed)
         char_poly = span.charpoly()
         plus, minus = _eigen_flags(system, char_poly)
-        if check_all_members:
-            for m in members:
-                flags = _eigen_flags(system,
-                                     group.span_matrix_of(m).charpoly())
-                if flags != (plus, minus):
-                    raise RuntimeError(
-                        f"eigen flags are not a class function at id {m}")
         c0 = char_poly[0]
         if abs(c0[0]) != 1 or any(c0[1:]):
             raise RuntimeError(f"det(-M) = {system.ring.text(c0)} is not "
                                f"+-1 for class of id {seed}")
         out.append(ConjugacyClass(GroupElement(group, seed), len(members),
-                                  FieldElement(c0[0] * (-1) ** span.nrows),
+                                  c0[0] * (-1) ** span.nrows,
                                   char_poly, plus, minus))
     total = sum(c.size for c in out)
     if total != group.order:
@@ -242,6 +223,6 @@ def verify_inequality_theorem(system_or_spec, budget: int = DEFAULT_BUDGET,
 
 __all__ = [
     "ConjugacyClass", "TraceCount", "conjugacy_classes", "count",
-    "count_brute_force", "has_eigenvalue", "verify_inequality_theorem",
+    "count_brute_force", "verify_inequality_theorem",
     "InequalityVerdict", "FactorMinusIdentity", "parse_system_spec",
 ]

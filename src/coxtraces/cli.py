@@ -180,7 +180,8 @@ def cmd_classes(args) -> int:
                      "yes" if cls.has_plus_one else "no",
                      "yes" if cls.has_minus_one else "no"))
         payload.append({"class": i, "size": cls.size,
-                        "det": cls.det.to_int_tuple(),
+                        # a + b*sqrt5 as [a_num, a_den, b_num, b_den]
+                        "det": [cls.det, 1, 0, 1],
                         "char_poly": cls.char_poly_str,
                         "char_poly_coeffs": [ring.as_json(c)
                                              for c in cls.char_poly],

@@ -178,20 +178,6 @@ def _certify_walk_set(walk, simple) -> None:
                            f"reflections {missing}; it may not generate W")
 
 
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    if g.group is not h.group:
-        raise ValueError("elements of different groups")
-    return GroupElement(g.group, g.group.compose_ids(g.index, h.index))
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    return GroupElement(g.group, g.group.inverse_id(g.index))
-
-
-def to_matrix(g: GroupElement) -> Matrix:
-    return g.matrix()
-
-
 def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
                      heavy: bool = False, allow_e8: bool = False) -> None:
     """Refuse, from the factor formulas alone, what generate_group cannot

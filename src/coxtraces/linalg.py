@@ -7,23 +7,20 @@ integers, its coordinates in the basis 1, eta, ..., eta^(d-1); products
 are reduced by the monic minimal polynomial of eta, of degree d.  N = 1
 gives the plain integers and N = 5 the golden integers x + y*phi.
 
-A Matrix holds either ring elements (and its Ring) or FieldElements of
-Q(sqrt5), as the published fixtures and the test oracle do.  Its
-characteristic polynomial comes from the division-free Berkowitz
-algorithm over the ring; a FieldElement matrix enters it through Z[phi]
-after clearing a common denominator, and so do determinants.
+A Matrix holds elements of one Ring.  Its characteristic polynomial,
+and so its determinant, comes from the division-free Berkowitz algorithm
+over the ring.  Since the ring never divides, coordinates that are
+Fractions (the half-integers of the published rank-3 fixture) pass
+through every operation unchanged.  Printing is the only place that
+leaves the ring: for N = 1 and 5 an element x + y*phi prints as the
+Q(sqrt5) number ((2x + y) + y*sqrt5)/2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Iterable, Sequence
-
-from .field import ONE, ZERO, FieldElement
-
-Vector = tuple
+from typing import Sequence
 
 # -- the coordinate ring -----------------------------------------------------
 
@@ -86,28 +83,35 @@ class Ring:
             prev, cur = cur, self.sub(self.mul(self.eta, cur), prev)
         return cur
 
-    def to_field(self, e) -> FieldElement:
-        """e as a + b*sqrt5, for n = 1 and 5 only: x + y*phi is
-        (2x + y)/2 + (y/2)*sqrt5."""
-        if self.n not in (1, 5):
-            raise ValueError(f"Z[2cos(pi/{self.n})] does not lie in Q(sqrt5)")
-        x, y = (e + (0,))[:2]
-        return FieldElement(Fraction(2 * x + y, 2), Fraction(y, 2))
-
     def text(self, e) -> str:
-        """The printed form: for n = 1 and 5 the Q(sqrt5) text of a
-        FieldElement, otherwise an integer polynomial in cN = 2cos(pi/N),
-        highest power first (e.g. 'c7^2 - 2')."""
-        if self.n in (1, 5):
-            return str(self.to_field(e))
-        return poly_str(e, var=f"c{self.n}")
+        """The printed form: for n = 1 and 5 a + b*sqrt5 as 'a+b*sqrt5'
+        ('3/2+1/2*sqrt5', '-sqrt5', '2'), otherwise an integer polynomial
+        in cN = 2cos(pi/N), highest power first (e.g. 'c7^2 - 2')."""
+        if self.n not in (1, 5):
+            return poly_str(e, var=f"c{self.n}")
+        a, b = _sqrt5_parts(e)
+        if not b:
+            return str(a)
+        surd = "sqrt5" if abs(b) == 1 else f"{abs(b)}*sqrt5"
+        if not a:
+            return f"-{surd}" if b < 0 else surd
+        return f"{a}{'-' if b < 0 else '+'}{surd}"
 
-    def as_json(self, e):
-        """The JSON form: for n = 1 and 5 FieldElement.to_int_tuple(),
-        otherwise the d integer coordinates in the basis 1, eta, ..."""
-        if self.n in (1, 5):
-            return self.to_field(e).to_int_tuple()
-        return list(e)
+    def as_json(self, e) -> list:
+        """The JSON form: for n = 1 and 5 a + b*sqrt5 as [a_num, a_den,
+        b_num, b_den] in lowest terms, otherwise the d integer coordinates
+        in the basis 1, eta, ..."""
+        if self.n not in (1, 5):
+            return list(e)
+        a, b = _sqrt5_parts(e)
+        return [a.numerator, a.denominator, b.numerator, b.denominator]
+
+
+def _sqrt5_parts(e) -> tuple:
+    """An element of Z or Z[phi] as the Fractions (a, b) of a + b*sqrt5:
+    x + y*phi is (2x + y)/2 + (y/2)*sqrt5."""
+    x, y = (tuple(e) + (0,))[:2]
+    return Fraction(2 * x + y, 2), Fraction(y, 2)
 
 
 @lru_cache(maxsize=None)
@@ -156,66 +160,29 @@ def _divide(p, q) -> list:
     return out
 
 
-# -- vector helpers (FieldElement vectors) -------------------------------------
-
-
-def as_vector(values: Iterable) -> Vector:
-    return tuple(v if isinstance(v, FieldElement) else FieldElement(v)
-                 for v in values)
-
-
-def dot(x: Vector, y: Vector) -> FieldElement:
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    total = ZERO
-    for a, b in zip(x, y):
-        total = total + a * b
-    return total
-
-
-def vadd(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vsub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vneg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
-
-
-def vscale(c, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
 # -- matrices ----------------------------------------------------------------
 
 
 class Matrix:
-    """Immutable exact matrix: rows of FieldElements, or of elements of a
-    Ring.  A ring matrix supports ==, *, **, transpose, det and charpoly;
-    the other operations are for FieldElement matrices."""
+    """Immutable exact matrix: rows of elements of one Ring."""
 
     __slots__ = ("rows", "ring")
 
-    def __init__(self, rows, ring: Ring | None = None):
+    def __init__(self, rows, ring: Ring):
         self.ring = ring
-        self.rows = tuple(tuple(row) if ring else as_vector(row) for row in rows)
+        self.rows = tuple(tuple(row) for row in rows)
         if self.rows:
             width = len(self.rows[0])
             if any(len(row) != width for row in self.rows):
                 raise ValueError("ragged rows")
 
     @classmethod
-    def identity(cls, n: int, ring: Ring | None = None) -> "Matrix":
-        one, zero = (ring.one, ring.zero) if ring else (ONE, ZERO)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n))
-                         for i in range(n)), ring)
+    def identity(cls, n: int, ring: Ring) -> "Matrix":
+        return cls(tuple(tuple(ring.one if i == j else ring.zero
+                               for j in range(n)) for i in range(n)), ring)
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Vector],
-                     ring: Ring | None = None) -> "Matrix":
+    def from_columns(cls, cols: Sequence[tuple], ring: Ring) -> "Matrix":
         return cls(tuple(zip(*cols)), ring)
 
     @property
@@ -234,9 +201,9 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        product = self.ring.dot if self.ring else dot
+        dot = self.ring.dot
         cols = list(zip(*other.rows))
-        return Matrix(tuple(tuple(product(row, col) for col in cols)
+        return Matrix(tuple(tuple(dot(row, col) for col in cols)
                             for row in self.rows), self.ring)
 
     def __pow__(self, k: int):
@@ -251,18 +218,16 @@ class Matrix:
             k >>= 1
         return result
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return Matrix(tuple(vadd(r, s) for r, s in zip(self.rows, other.rows)))
-
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(tuple(vsub(r, s) for r, s in zip(self.rows, other.rows)))
+        sub = self.ring.sub
+        return Matrix(tuple(tuple(map(sub, r, s))
+                            for r, s in zip(self.rows, other.rows)), self.ring)
 
     def __neg__(self):
-        return Matrix(tuple(vneg(r) for r in self.rows))
+        neg = self.ring.neg
+        return Matrix(tuple(tuple(map(neg, r)) for r in self.rows), self.ring)
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -274,31 +239,18 @@ class Matrix:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def det(self):
+    def det(self) -> tuple:
         """Determinant, (-1)^n det(0I - M) from the characteristic
         polynomial."""
         c0 = self.charpoly()[0]
-        if self.nrows % 2 == 0:
-            return c0
-        return self.ring.neg(c0) if self.ring else -c0
+        return c0 if self.nrows % 2 == 0 else self.ring.neg(c0)
 
     def charpoly(self) -> tuple:
-        """Coefficients of det(tI - M), ascending in t (exact, monic): ring
-        elements for a ring matrix, FieldElements otherwise."""
+        """Coefficients of det(tI - M), ascending in t (exact, monic), as
+        ring elements."""
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        if self.ring:
-            return tuple(reversed(_berkowitz(self.ring, self.rows)))
-        # clear a common denominator D of the entries a + b*sqrt5 and write
-        # each entry of DM as x + y*phi: x = D(a - b), y = 2Db (sqrt5 =
-        # 2phi - 1); coefficient k of det(tI - DM), descending, is D^k c_k
-        d = lcm(*(q for row in self.rows for e in row
-                  for q in (e.a.denominator, e.b.denominator)))
-        rows = [[(int(d * (e.a - e.b)), int(2 * d * e.b)) for e in row]
-                for row in self.rows]
-        golden = coordinate_ring(5)
-        return tuple(reversed([golden.to_field(c) / d ** k for k, c
-                               in enumerate(_berkowitz(golden, rows))]))
+        return tuple(reversed(_berkowitz(self.ring, self.rows)))
 
 
 def _berkowitz(ring: Ring, rows) -> list:
@@ -323,30 +275,7 @@ def _berkowitz(ring: Ring, rows) -> list:
     return poly
 
 
-# -- polynomials (ascending coefficient tuples) ------------------------------
-
-
-def poly_neg(p):
-    return tuple(-a for a in p)
-
-
-def poly_mul(p, q):
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return tuple(out)
-
-
-def poly_eval(p, x) -> FieldElement:
-    if not isinstance(x, FieldElement):
-        x = FieldElement(x)
-    acc = ZERO
-    for coeff in reversed(p):
-        acc = acc * x + coeff
-    return acc
+# -- printing ------------------------------------------------------------------
 
 
 def poly_str(p, var: str = "t", text=str) -> str:

@@ -17,8 +17,8 @@ import itertools
 import math
 from collections import Counter
 
-from coxtraces.field import GOLDEN, HALF, ONE, ZERO
-from coxtraces.linalg import Matrix, dot, vadd, vneg, vscale, vsub
+from field import (GOLDEN, HALF, ONE, ZERO, dot, transpose, vadd, vneg, vscale,
+                   vsub)
 from quaternions import unit_icosians
 
 
@@ -95,10 +95,10 @@ def reflect(x, v):
     return vsub(x, vscale((dot(x, v) * 2) / dot(v, v), v))
 
 
-def reflection_matrix(v) -> Matrix:
-    """Matrix of the reflection in v (exact, orthogonal)."""
+def reflection_matrix(v) -> tuple:
+    """Matrix of the reflection in v (exact, orthogonal), as rows."""
     n = len(v)
-    return Matrix([reflect(_unit(n, i), v) for i in range(n)]).transpose()
+    return transpose([reflect(_unit(n, i), v) for i in range(n)])
 
 
 def _is_positive(root) -> bool:

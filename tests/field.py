@@ -1,10 +1,14 @@
-"""Exact arithmetic in the quadratic field of rationals extended by sqrt(5).
+"""Test oracle: exact arithmetic in the quadratic field Q(sqrt5).
 
-The published rank-3 generator matrices are FieldElements, and so are
-the printed class invariants of systems over the integers or Z[phi];
-roots and group matrices use the integer ring of coxtraces.linalg.
-The rational parts are stdlib Fractions (arbitrary precision, always in
-lowest terms with positive denominator).
+This is the number type of the oracles (the ambient root models, the
+quaternions, the Gaussian-elimination determinant and the interpolation
+charpoly), and it shares nothing with the library's ring Z[2cos(pi/N)]
+(coxtraces.linalg.Ring).  Vectors are tuples of FieldElements and
+matrices are tuples of rows.  from_golden and to_golden translate
+between a + b*sqrt5 and the library's coordinates (x, y) of x + y*phi,
+so that the two can be compared.  The rational parts are stdlib
+Fractions (arbitrary precision, always in lowest terms with positive
+denominator).
 """
 
 from __future__ import annotations
@@ -200,3 +204,98 @@ HALF = FieldElement(Fraction(1, 2))
 SQRT5 = FieldElement(0, 1)
 # golden ratio (1 + sqrt 5)/2, the fundamental unit driving the H-type systems
 GOLDEN = FieldElement(Fraction(1, 2), Fraction(1, 2))
+
+
+# -- the library's Z[phi] coordinates ---------------------------------------------
+
+
+def from_golden(e) -> FieldElement:
+    """The coordinates (x, y) of x + y*phi, or (x,) of an integer, as
+    (2x + y)/2 + (y/2)*sqrt5."""
+    x, y = (tuple(e) + (0,))[:2]
+    return FieldElement(Fraction(2 * x + y, 2), Fraction(y, 2))
+
+
+def to_golden(e: FieldElement) -> tuple:
+    """a + b*sqrt5 as the coordinates (a - b, 2b) of x + y*phi, by
+    sqrt5 = 2phi - 1; they are Fractions, and the library's ring takes
+    them as they are."""
+    return e.a - e.b, 2 * e.b
+
+
+# -- vectors, polynomials and matrices ------------------------------------------
+
+
+def dot(x, y) -> FieldElement:
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    total = ZERO
+    for a, b in zip(x, y):
+        total = total + a * b
+    return total
+
+
+def vadd(x, y) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def vsub(x, y) -> tuple:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def vneg(x) -> tuple:
+    return tuple(-a for a in x)
+
+
+def vscale(c, x) -> tuple:
+    return tuple(c * a for a in x)
+
+
+def poly_mul(p, q) -> tuple:
+    """Product of two ascending coefficient tuples."""
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return tuple(out)
+
+
+def poly_eval(p, x) -> FieldElement:
+    acc = ZERO
+    for coeff in reversed(p):
+        acc = acc * x + coeff
+    return acc
+
+
+def identity(n: int) -> tuple:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                 for i in range(n))
+
+
+def transpose(m) -> tuple:
+    return tuple(zip(*m))
+
+
+def mat_mul(a, b) -> tuple:
+    cols = transpose(b)
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
+
+
+def gauss_det(rows) -> FieldElement:
+    """Determinant by exact Gaussian elimination."""
+    work = [list(row) for row in rows]
+    n, result = len(work), ONE
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if not work[r][col].is_zero),
+                         None)
+        if pivot_row is None:
+            return ZERO
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            result = -result
+        pivot = work[col][col]
+        result = result * pivot
+        for r in range(col + 1, n):
+            factor = work[r][col] / pivot
+            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return result

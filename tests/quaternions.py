@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from coxtraces.field import GOLDEN, HALF, ONE, ZERO, FieldElement
-from coxtraces.linalg import Matrix
 from coxtraces.roots import closure
+from field import (GOLDEN, HALF, ONE, ZERO, FieldElement, gauss_det,
+                   transpose)
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,18 @@ def _require_unit(q: Quaternion, name: str):
         raise ValueError(f"{name} must be a unit quaternion, |{name}|^2 = {q.norm()}")
 
 
-def lr_action_matrix(l: Quaternion, r: Quaternion) -> Matrix:
-    """4x4 matrix of the rotation x -> l x r* in the basis 1, i, j, k."""
+def lr_action_matrix(l: Quaternion, r: Quaternion) -> tuple:
+    """4x4 matrix (rows) of the rotation x -> l x r* in the basis 1, i, j, k."""
     _require_unit(l, "l")
     _require_unit(r, "r")
     rc = r.conjugate()
-    return Matrix.from_columns([(l * e * rc).coords for e in _Q_BASIS])
+    return transpose([(l * e * rc).coords for e in _Q_BASIS])
 
 
-def star_action_matrix(p: Quaternion) -> Matrix:
-    """4x4 matrix of the orientation-reversing action x -> p x*."""
+def star_action_matrix(p: Quaternion) -> tuple:
+    """4x4 matrix (rows) of the orientation-reversing action x -> p x*."""
     _require_unit(p, "p")
-    return Matrix.from_columns([(p * e.conjugate()).coords for e in _Q_BASIS])
+    return transpose([(p * e.conjugate()).coords for e in _Q_BASIS])
 
 
 def lr_fixed_point_criterion(l: Quaternion, r: Quaternion):
@@ -118,5 +118,5 @@ def lr_fixed_point_criterion(l: Quaternion, r: Quaternion):
     """
     _require_unit(l, "l")
     _require_unit(r, "r")
-    commutator = Matrix.from_columns([(l * e - e * r).coords for e in _Q_BASIS])
-    return commutator.det(), l.q0 == r.q0
+    commutator = transpose([(l * e - e * r).coords for e in _Q_BASIS])
+    return gauss_det(commutator), l.q0 == r.q0

@@ -5,12 +5,25 @@ from __future__ import annotations
 import pytest
 
 from coxtraces.classes import (conjugacy_classes, count, count_brute_force,
-                               has_eigenvalue, verify_inequality_theorem)
-from coxtraces.field import ONE
-from coxtraces.group import generate_group, shared_group
+                               verify_inequality_theorem)
+from coxtraces.group import GroupElement, generate_group, shared_group
 from coxtraces.linalg import Matrix
 from coxtraces.partitions import closed_form_count, dihedral_classes
 from coxtraces.roots import parse_factor, system_from_spec
+
+
+def has_eigenvalue(g: GroupElement, value: int) -> bool:
+    """Exact test for eigenvalue +1 or -1 on the counting space, from g's
+    own det(tI - M) at t = value; the rootless directions of A0 factors
+    add eigenvalue +1."""
+    if value not in (1, -1):
+        raise ValueError("only the eigenvalues +1 and -1 are tracked")
+    group = g.group
+    ring = group.system.ring
+    poly = group.span_matrix_of(g.index).charpoly()
+    at = ring.dot(poly, [ring.integer(value ** k) for k in range(len(poly))])
+    return at == ring.zero or (value == 1 and group.system.trivial_dims > 0)
+
 
 CLASS_COUNTS = {
     "A1": 2, "A2": 3, "A3": 5, "A4": 7,   # partitions of n+1
@@ -30,7 +43,7 @@ def test_class_counts():
 def test_identity_class():
     group = shared_group(system_from_spec("B3"))
     classes = conjugacy_classes(group)
-    identity_cls = next(c for c in classes if c.size == 1 and c.det == ONE
+    identity_cls = next(c for c in classes if c.size == 1 and c.det == 1
                         and c.has_plus_one and not c.has_minus_one)
     assert identity_cls.representative == group.identity
 
@@ -97,12 +110,16 @@ def test_a_moved_class_member_fails_the_degree_certificate(monkeypatch):
 
 
 def test_check_all_members_agrees_on_small_groups():
-    for label in ("A2", "B2", "G2", "I2(5)"):
+    # the flags read off each class representative hold for every member
+    for label in ("A2", "B2", "G2", "I2(5)", "A1+A0"):
         group = shared_group(system_from_spec(label))
-        relaxed = conjugacy_classes(group)
-        strict = conjugacy_classes(group, check_all_members=True)
-        assert [(c.size, c.has_plus_one, c.has_minus_one) for c in relaxed] \
-            == [(c.size, c.has_plus_one, c.has_minus_one) for c in strict]
+        classes = conjugacy_classes(group)
+        for cls, members in zip(classes, group.class_orbits()):
+            assert cls.size == len(members)
+            for m in members:
+                g = group.element(m)
+                assert (has_eigenvalue(g, 1), has_eigenvalue(g, -1)) == \
+                    (cls.has_plus_one, cls.has_minus_one), (label, m)
 
 
 def test_brute_force_equals_closed_form_for_every_vector_model():

@@ -202,7 +202,7 @@ def test_table_all_matches_golden_text(capsys):
 @pytest.mark.parametrize("argv, golden", [
     (("verify", "appendices"), "verify_appendices.txt"),
     (("verify", "lemma", "--degree", "120"), "verify_lemma_120.txt"),
-])
+], ids=["appendices", "lemma-120"])
 def test_verify_output_matches_golden_text(capsys, argv, golden):
     code, out, _ = _run(capsys, *argv)
     assert code == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxtraces.field import GOLDEN, HALF, ONE, SQRT5, ZERO, FieldElement
+from field import GOLDEN, HALF, ONE, SQRT5, ZERO, FieldElement
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 elements = st.builds(FieldElement, small_fractions, small_fractions)

@@ -10,12 +10,23 @@ import pytest
 
 from coxtraces import roots
 from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
-                             CacheFormatError, Group, _conjugate, _table,
-                             _walker, compose, contains_minus_identity,
-                             generate_group, inverse, load_group, save_group,
-                             shared_group, to_matrix)
+                             CacheFormatError, Group, GroupElement,
+                             _conjugate, _table, _walker,
+                             contains_minus_identity,
+                             generate_group, load_group, save_group,
+                             shared_group)
 from coxtraces.linalg import Matrix
 from coxtraces.roots import orbits, system_from_spec
+
+
+def compose(g: GroupElement, h: GroupElement) -> GroupElement:
+    assert g.group is h.group
+    return GroupElement(g.group, g.group.compose_ids(g.index, h.index))
+
+
+def inverse(g: GroupElement) -> GroupElement:
+    return GroupElement(g.group, g.group.inverse_id(g.index))
+
 
 KNOWN_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120,
@@ -114,7 +125,7 @@ def test_generators_are_involutive_reflections():
     ring = group.system.ring
     for g in group.generators:
         assert compose(g, g) == group.identity
-        m = to_matrix(g)
+        m = g.matrix()
         assert m.det() == ring.integer(-1)
         assert m * m == Matrix.identity(3, ring)
 
@@ -175,8 +186,8 @@ def test_determinant_tracks_word_parity():
     # generators have det -1, so any product of k of them has det (-1)^k
     a, b = group.generators
     g = compose(a, b)
-    assert to_matrix(g).det() == ring.one
-    assert to_matrix(compose(g, a)).det() == ring.integer(-1)
+    assert g.matrix().det() == ring.one
+    assert compose(g, a).matrix().det() == ring.integer(-1)
 
 
 def _simple_reflection_walk(group):

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxtraces.field import GOLDEN, ONE, ZERO, FieldElement
 from coxtraces.group import generate_group
-from coxtraces.linalg import (Matrix, Ring, coordinate_ring, dot, poly_eval,
-                              poly_mul, poly_str)
+from coxtraces.linalg import Matrix, Ring, coordinate_ring, poly_str
 from coxtraces.roots import system_from_spec
+from field import (GOLDEN, ONE, ZERO, FieldElement, dot, from_golden,
+                   gauss_det, poly_eval, poly_mul, to_golden)
+
+INTEGERS, GOLDEN_RING = coordinate_ring(1), coordinate_ring(5)
 
 
 def _f(n, d=1):
@@ -21,7 +23,12 @@ def _f(n, d=1):
 
 
 def _int_matrix(rows):
-    return Matrix(tuple(tuple(_f(x) for x in row) for row in rows))
+    return Matrix(tuple(tuple((x,) for x in row) for row in rows), INTEGERS)
+
+
+def _as_field(m):
+    """The rows of a matrix over Z or Z[phi] as FieldElements."""
+    return tuple(tuple(map(from_golden, row)) for row in m.rows)
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -37,29 +44,13 @@ field_elements = st.builds(FieldElement, small_fractions, small_fractions)
 
 @st.composite
 def field_matrices(draw):
+    """Q(sqrt5) matrices, entering the library as Z[phi] matrices with
+    rational coordinates."""
     n = draw(st.integers(min_value=1, max_value=5))
-    return Matrix(tuple(tuple(draw(field_elements) for _ in range(n))
-                        for _ in range(n)))
-
-
-def _gauss_det(rows) -> FieldElement:
-    """Determinant by exact Gaussian elimination over Q(sqrt5)."""
-    work = [list(row) for row in rows]
-    n, result = len(work), ONE
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not work[r][col].is_zero),
-                         None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            result = -result
-        pivot = work[col][col]
-        result = result * pivot
-        for r in range(col + 1, n):
-            factor = work[r][col] / pivot
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return result
+    rows = tuple(tuple(draw(field_elements) for _ in range(n))
+                 for _ in range(n))
+    return Matrix(tuple(tuple(map(to_golden, row)) for row in rows),
+                  GOLDEN_RING)
 
 
 def _poly_add(p, q):
@@ -83,14 +74,14 @@ def _lagrange_interpolate(points, values) -> tuple:
     return result
 
 
-def _interpolated_charpoly(m):
+def _interpolated_charpoly(rows):
     """det(tI - M) from n + 1 Gaussian-elimination determinants at
     t = 0, 1, -1, 2, -2, ... and Lagrange interpolation: an independent
     oracle for charpoly()."""
-    n = m.nrows
+    n = len(rows)
     points = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(n + 1)]
-    values = [_gauss_det([[(t if i == j else 0) - e for j, e in enumerate(row)]
-                          for i, row in enumerate(m.rows)])
+    values = [gauss_det([[(t if i == j else 0) - e for j, e in enumerate(row)]
+                         for i, row in enumerate(rows)])
               for t in points]
     return _lagrange_interpolate(points, values)
 
@@ -103,68 +94,70 @@ def test_dot_and_dimension_mismatch():
 
 def test_identity_and_power():
     m = _int_matrix([[1, 1], [0, 1]])
-    assert m ** 0 == Matrix.identity(2)
+    assert m ** 0 == Matrix.identity(2, INTEGERS)
     assert m ** 3 == _int_matrix([[1, 3], [0, 1]])
 
 
 def test_determinant_known_values():
-    assert _int_matrix([[2, 0], [0, 3]]).det() == _f(6)
-    assert _int_matrix([[1, 2], [2, 4]]).det() == _f(0)
-    assert _int_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == _f(1)
+    assert _int_matrix([[2, 0], [0, 3]]).det() == (6,)
+    assert _int_matrix([[1, 2], [2, 4]]).det() == (0,)
+    assert _int_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]).det() == (1,)
 
 
 @given(int_matrices_3, int_matrices_3)
 def test_determinant_is_multiplicative(a, b):
-    assert (a * b).det() == a.det() * b.det()
+    assert (a * b).det() == INTEGERS.mul(a.det(), b.det())
 
 
 def test_charpoly_of_identity():
     # det(tI - I) = (t-1)^3, ascending coefficients
-    coeffs = Matrix.identity(3).charpoly()
-    assert coeffs == (_f(-1), _f(3), _f(-3), _f(1))
+    coeffs = Matrix.identity(3, INTEGERS).charpoly()
+    assert coeffs == ((-1,), (3,), (-3,), (1,))
 
 
 def test_charpoly_of_companion_matrix():
     # companion of t^3 - 2t - 1 has exactly that characteristic polynomial
     m = _int_matrix([[0, 0, 1], [1, 0, 2], [0, 1, 0]])
-    assert m.charpoly() == (_f(-1), _f(-2), _f(0), _f(1))
+    assert m.charpoly() == ((-1,), (-2,), (0,), (1,))
 
 
 def test_charpoly_with_irrational_entries():
-    m = Matrix(((GOLDEN, ZERO), (ZERO, GOLDEN)))
+    phi, zero = (0, 1), GOLDEN_RING.zero
+    m = Matrix(((phi, zero), (zero, phi)), GOLDEN_RING)
     # det(tI - M) = (t - k)^2 = t^2 - 2k t + k^2
-    assert m.charpoly() == (GOLDEN * GOLDEN, -(GOLDEN + GOLDEN), ONE)
+    assert tuple(map(from_golden, m.charpoly())) == \
+        (GOLDEN * GOLDEN, -(GOLDEN + GOLDEN), ONE)
 
 
 @given(int_matrices_3)
 def test_charpoly_constant_term_is_signed_det(m):
-    coeffs = m.charpoly()
+    coeffs = tuple(map(from_golden, m.charpoly()))
+    rows = _as_field(m)
     # det(tI-M) at t=0 is (-1)^3 det(M)
-    assert coeffs[0] == -_gauss_det(m.rows)
+    assert coeffs[0] == -gauss_det(rows)
     assert coeffs[3] == ONE
-    assert coeffs[2] == -sum((m.rows[i][i] for i in range(3)), ZERO)
+    assert coeffs[2] == -sum((rows[i][i] for i in range(3)), ZERO)
 
 
 @given(field_matrices())
 def test_det_equals_gaussian_elimination(m):
-    assert m.det() == _gauss_det(m.rows)
+    assert from_golden(m.det()) == gauss_det(_as_field(m))
 
 
 @given(field_matrices())
 def test_charpoly_equals_the_interpolation_oracle(m):
-    assert m.charpoly() == _interpolated_charpoly(m)
+    assert tuple(map(from_golden, m.charpoly())) == \
+        _interpolated_charpoly(_as_field(m))
 
 
 @pytest.mark.parametrize("spec", ["H3", "F4", "B2+I2(5)"])
 def test_class_span_matrices_match_the_interpolation_oracle(spec):
     # the ring's Berkowitz against determinants in Q(sqrt5)
     group = generate_group(system_from_spec(spec))
-    to_field = group.system.ring.to_field
     for members in group.class_orbits():
         span = group.span_matrix_of(members[0])
-        as_field = Matrix([[to_field(e) for e in row] for row in span.rows])
-        assert tuple(map(to_field, span.charpoly())) == \
-            _interpolated_charpoly(as_field)
+        assert tuple(map(from_golden, span.charpoly())) == \
+            _interpolated_charpoly(_as_field(span))
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6))
@@ -186,10 +179,11 @@ def test_poly_mul_and_eval_agree():
 
 
 def test_poly_str_rendering():
-    assert poly_str((_f(-1), _f(0), _f(1))) == "t^2 - 1"
-    assert poly_str((_f(1), _f(2), _f(1))) == "t^2 + 2*t + 1"
-    assert poly_str((ZERO,)) == "0"
-    assert poly_str((GOLDEN, ONE)) == "t + (1/2+1/2*sqrt5)"
+    assert poly_str((-1, 0, 1)) == "t^2 - 1"
+    assert poly_str((1, 2, 1)) == "t^2 + 2*t + 1"
+    assert poly_str((0,)) == "0"
+    assert poly_str(((0, 1), (1, 0)), text=GOLDEN_RING.text) == \
+        "t + (1/2+1/2*sqrt5)"
 
 
 def _value(ring, e) -> float:
@@ -242,9 +236,17 @@ def test_ring_product_is_associative_and_commutative(pair):
 def test_ring_text_and_json_forms():
     golden, wide = coordinate_ring(5), coordinate_ring(7)
     assert golden.text((1, 1)) == str(1 + GOLDEN) == "3/2+1/2*sqrt5"
-    assert golden.as_json((0, 1)) == GOLDEN.to_int_tuple()
+    assert golden.as_json((0, 1)) == list(GOLDEN.to_int_tuple())
     assert wide.text((-1, 2, 1)) == "c7^2 + 2*c7 - 1"
     assert wide.text(wide.zero) == "0" and wide.text(wide.integer(-3)) == "-3"
     assert wide.as_json((-1, 2, 1)) == [-1, 2, 1]
-    with pytest.raises(ValueError):
-        wide.to_field(wide.one)
+
+
+@given(golden_pairs)
+def test_golden_text_and_json_match_the_field_oracle(e):
+    # the printed a+b*sqrt5 forms of N = 1 and 5 are the oracle's
+    x = from_golden(e)
+    assert GOLDEN_RING.text(e) == str(x)
+    assert GOLDEN_RING.as_json(e) == list(x.to_int_tuple())
+    assert INTEGERS.text(e[:1]) == str(from_golden(e[:1]))
+    assert INTEGERS.as_json(e[:1]) == list(from_golden(e[:1]).to_int_tuple())

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxtraces.field import GOLDEN, ONE, FieldElement
+from coxtraces import models
+from coxtraces.cli import main
 from coxtraces.group import shared_group
 from coxtraces.linalg import Matrix
-from coxtraces.models import (build_h3_generators, h3_charpoly_table_check,
-                              h4_class_census)
+from coxtraces.models import (H3Generators, build_h3_generators,
+                              h3_charpoly_table_check, h4_class_census)
 from coxtraces.roots import system_from_spec
 
 from ambient_oracle import ambient_roots, reflection_matrix
+from field import (GOLDEN, ONE, FieldElement, from_golden, gauss_det,
+                   identity, mat_mul, poly_mul, transpose)
 from quaternions import (Quaternion, lr_action_matrix, lr_fixed_point_criterion,
                          star_action_matrix, unit_icosians)
 
@@ -73,18 +76,18 @@ def test_rotation_action_frozen_matrix():
     # conjugation by i fixes the (1, i) plane and flips the (j, k) plane
     m = lr_action_matrix(I_Q, I_Q)
     diag = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-    assert m == Matrix(tuple(tuple(FieldElement.from_int(x) for x in row)
-                             for row in diag))
-    assert m.det() == ONE
+    assert m == tuple(tuple(FieldElement.from_int(x) for x in row)
+                      for row in diag)
+    assert gauss_det(m) == ONE
 
 
 def test_reversing_action_frozen_matrix():
     # plain conjugation x -> x* fixes the real axis, negates the imaginaries
     m = star_action_matrix(ONE_Q)
     diag = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-    assert m == Matrix(tuple(tuple(FieldElement.from_int(x) for x in row)
-                             for row in diag))
-    assert m.det() == -ONE
+    assert m == tuple(tuple(FieldElement.from_int(x) for x in row)
+                      for row in diag)
+    assert gauss_det(m) == -ONE
 
 
 def test_actions_demand_unit_quaternions():
@@ -97,8 +100,8 @@ def test_actions_demand_unit_quaternions():
 @given(icosians, icosians)
 def test_rotation_matrices_are_special_orthogonal(l, r):
     m = lr_action_matrix(l, r)
-    assert m.det() == ONE
-    assert m.transpose() * m == Matrix.identity(4)
+    assert gauss_det(m) == ONE
+    assert mat_mul(transpose(m), m) == identity(4)
 
 
 def test_fixed_point_determinant_identity():
@@ -122,15 +125,57 @@ def test_h3_generator_fixture():
     assert verdict.no_plus_one_classes == 4
 
 
+def _published_forms():
+    """The published det(M - tI), as products of FieldElement polynomials."""
+    k, one_minus_t = GOLDEN, (ONE, -ONE)
+    return {
+        "identity": poly_mul(poly_mul(one_minus_t, one_minus_t), one_minus_t),
+        "ac": poly_mul(one_minus_t, poly_mul((ONE, ONE), (ONE, ONE))),
+        "bc": poly_mul(one_minus_t, (ONE, ONE, ONE)),
+        "ab": poly_mul(one_minus_t, (ONE, ONE - k, ONE)),
+        "abab": poly_mul(one_minus_t, (ONE, k, ONE)),
+    }
+
+
+def test_literal_h3_charpolys_are_the_published_product_forms():
+    literal = {name: tuple(map(from_golden, coeffs))
+               for name, coeffs in models._PUBLISHED_H3_CHARPOLYS.items()}
+    assert literal == _published_forms()
+
+
+def test_a_wrong_h3_charpoly_fails_the_fixture(monkeypatch):
+    wrong = dict(models._PUBLISHED_H3_CHARPOLYS)
+    wrong["ab"] = ((1, 0), (0, 1), (0, -1), (-1, 0))   # k for 1 - k
+    monkeypatch.setattr(models, "_PUBLISHED_H3_CHARPOLYS", wrong)
+    verdict = h3_charpoly_table_check()
+    assert verdict.problems == ["characteristic polynomial of ab differs"]
+
+
+def test_a_wrong_published_generator_fails_verify_appendices(monkeypatch,
+                                                             capsys):
+    # one entry of b off by phi/2: the fixture must fail, and the CLI exit 1
+    gens = build_h3_generators()
+    rows = [list(row) for row in gens.b.rows]
+    rows[0][1] = (0, 1)
+    wrong = H3Generators(gens.a, Matrix(rows, gens.b.ring), gens.c)
+    monkeypatch.setattr(models, "build_h3_generators", lambda: wrong)
+    assert main(["verify", "appendices"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL  rank-3 generator fixture  (")
+    assert all(line.startswith("PASS") for line in lines[1:])
+
+
 def test_h3_middle_generator_is_a_root_reflection():
     gens = build_h3_generators()
     half = FieldElement(1, 0) / FieldElement(2, 0)
     root = (half, -GOLDEN * half, (ONE - GOLDEN) * half)
-    assert gens.b == reflection_matrix(root)
+    assert tuple(tuple(map(from_golden, row)) for row in gens.b.rows) == \
+        reflection_matrix(root)
     assert root in set(ambient_roots("H3"))
-    assert gens.a * gens.a == Matrix.identity(3)
-    assert gens.b * gens.b == Matrix.identity(3)
-    assert gens.c * gens.c == Matrix.identity(3)
+    golden_identity = Matrix.identity(3, gens.a.ring)
+    assert gens.a * gens.a == golden_identity
+    assert gens.b * gens.b == golden_identity
+    assert gens.c * gens.c == golden_identity
 
 
 def test_h4_census():
@@ -148,5 +193,5 @@ def test_h4_census_agrees_with_the_group_engine():
     classes = conjugacy_classes(group)
     census = h4_class_census()
     assert len(classes) == census.class_count
-    assert sum(1 for c in classes if c.det == -ONE) == census.reversing_classes
-    assert all(c.has_plus_one for c in classes if c.det == -ONE)
+    assert sum(1 for c in classes if c.det == -1) == census.reversing_classes
+    assert all(c.has_plus_one for c in classes if c.det == -1)

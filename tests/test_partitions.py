@@ -6,19 +6,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxtraces.partitions import (DihedralClassSummary, SignedCycleType,
-                                  TraceCount, bn_class_eigen_flags,
-                                  bn_dn_class_enumeration, bn_dn_trace_counts,
-                                  closed_form_count, dihedral_classes,
-                                  dihedral_element_flags, dihedral_mul,
-                                  distinct_odd_partitions,
+from coxtraces.partitions import (DihedralClassSummary, TraceCount,
+                                  _coefficient, closed_form_count,
+                                  dihedral_classes, dihedral_element_flags,
+                                  dihedral_mul, distinct_odd_partitions,
                                   lemma_identity_check, partition_count,
-                                  partitions_distinct_parts,
-                                  partitions_even_count_of_even_parts,
                                   partitions_even_summand_count,
                                   partitions_odd_parts,
                                   partitions_odd_summand_count)
 from coxtraces.roots import parse_factor
+from signed_cycles import (SignedCycleType, bn_class_eigen_flags,
+                           bn_dn_class_enumeration, bn_dn_trace_counts,
+                           partitions_even_count_of_even_parts)
+
+
+def partitions_distinct_parts(n: int) -> int:
+    """Partitions of n into distinct parts, from the library's table."""
+    return _coefficient(n, distinct=True)
 
 
 def _brute_partitions(n, max_part=None):
