@@ -19,7 +19,7 @@ from operator import add
 from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
                     check_enumerable, contains_minus_identity, generate_group,
                     shared_group)
-from .linalg import poly_str
+from .linalg import charpoly_from_traces, poly_str
 from .partitions import TraceCount, closed_form_count
 from .roots import (RootSystem, build_irreducible, build_system,
                     parse_system_spec, system_label)
@@ -59,22 +59,22 @@ def conjugacy_classes(group: Group):
     """All conjugacy classes, ordered by minimal element id.
 
     Eigen flags and determinant come from one characteristic polynomial
-    per class (det M = (-1)^d det(0I - M)).
+    per class (det M = (-1)^r det(0I - M)), from the power traces of its
+    representative (Group.power_traces); no matrix is built.
     """
     system = group.system
+    ring, sign = system.ring, (-1) ** system.rank
     out = []
     for members in group.class_orbits():
         seed = members[0]
-        span = group.span_matrix_of(seed)
-        char_poly = span.charpoly()
+        char_poly = charpoly_from_traces(ring, group.power_traces(seed))
         plus, minus = _eigen_flags(system, char_poly)
         c0 = char_poly[0]
         if abs(c0[0]) != 1 or any(c0[1:]):
-            raise RuntimeError(f"det(-M) = {system.ring.text(c0)} is not "
+            raise RuntimeError(f"det(-M) = {ring.text(c0)} is not "
                                f"+-1 for class of id {seed}")
         out.append(ConjugacyClass(GroupElement(group, seed), len(members),
-                                  c0[0] * (-1) ** span.nrows,
-                                  char_poly, plus, minus))
+                                  c0[0] * sign, char_poly, plus, minus))
     total = sum(c.size for c in out)
     if total != group.order:
         raise RuntimeError(f"classes cover {total} of {group.order} elements")

@@ -108,6 +108,20 @@ class Group:
                                     for b in system.simple_root_indices],
                                    system.ring)
 
+    def power_traces(self, i: int) -> list:
+        """tr(w^k) for k = 1..rank, w element i, on the span of the roots:
+        the sum over b of coordinate b of the root w^k sends simple root
+        b to.  No matrix is built: each power's images of the simple
+        roots are the previous ones translated by w's table."""
+        perm, roots = self.perms[i], self.system.roots
+        images = bytes(perm[s] for s in self.system.simple_root_indices)
+        table, traces = _table(perm), []
+        for _ in images:
+            diagonal = (roots[r][b] for b, r in enumerate(images))
+            traces.append(tuple(map(sum, zip(*diagonal))))
+            images = images.translate(table)
+        return traces
+
     # -- classes -----------------------------------------------------------------
 
     def class_orbits(self):
@@ -211,18 +225,33 @@ def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
 def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
                    heavy: bool = False, allow_e8: bool = False) -> Group:
     """Enumerate the reflection group of a root system, after the refusals
-    of check_enumerable."""
+    of check_enumerable, and certify the BFS by its layer sizes."""
     check_enumerable(system.factors, budget, heavy, allow_e8)
     gen_perms = system.simple_reflections
     # x.translate(_table(g)) is g after x
-    perms, index = closure([bytes(range(len(system.roots)))],
-                           [_table(g) for g in gen_perms], bytes.translate)
-    if len(perms) != system.known_order:
-        raise RuntimeError(
-            f"generated {len(perms)} elements for {system.label}, "
-            f"expected {system.known_order}")
+    perms, index, layers = closure([bytes(range(len(system.roots)))],
+                                   [_table(g) for g in gen_perms],
+                                   bytes.translate)
+    _certify_layers(system, layers)
     generator_ids = [index[g] for g in gen_perms]
     return Group(system, perms, index, generator_ids)
+
+
+def _certify_layers(system: RootSystem, layers) -> None:
+    """Raise unless the BFS layer sizes (the numbers of elements of each
+    length) are the coefficients of the Poincare polynomial prod_i (1 + q
+    + ... + q^(d_i - 1)) over the degrees d_i, of degree |R|/2 with one
+    element on top (Chevalley 1955); they then add up to |W|."""
+    expected = [1]
+    for d in (d for f in system.factors for d in f.degrees):
+        # times 1 + q + ... + q^(d-1): coefficient k sums a window of d
+        expected = [sum(expected[max(k - d + 1, 0):k + 1])
+                    for k in range(len(expected) + d - 1)]
+    top = len(system.roots) // 2
+    if layers != expected or len(layers) != top + 1:
+        raise RuntimeError(f"BFS layer sizes {layers} of {system.label} are "
+                           f"not the Poincare polynomial {expected} of its "
+                           f"degrees, of degree {top}")
 
 
 def contains_minus_identity(group: Group) -> bool:

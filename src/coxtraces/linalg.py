@@ -7,11 +7,11 @@ integers, its coordinates in the basis 1, eta, ..., eta^(d-1); products
 are reduced by the monic minimal polynomial of eta, of degree d.  N = 1
 gives the plain integers and N = 5 the golden integers x + y*phi.
 
-A Matrix holds elements of one Ring.  Its characteristic polynomial,
-and so its determinant, comes from the division-free Berkowitz algorithm
-over the ring.  Since the ring never divides, coordinates that are
-Fractions (the half-integers of the published rank-3 fixture) pass
-through every operation unchanged.  Printing is the only place that
+Characteristic polynomials come from the power traces tr M^k by
+Newton's identities (charpoly_from_traces), fed by a Matrix or by the
+class walk, which reads the traces off root permutations.  Integer
+coordinates divide exactly, and Fraction ones (the half-integers of
+the published rank-3 fixture) in Q.  Printing is the only place that
 leaves the ring: for N = 1 and 5 an element x + y*phi prints as the
 Q(sqrt5) number ((2x + y) + y*sqrt5)/2.
 """
@@ -247,32 +247,32 @@ class Matrix:
 
     def charpoly(self) -> tuple:
         """Coefficients of det(tI - M), ascending in t (exact, monic), as
-        ring elements."""
+        ring elements, from the traces of M, M^2, ..., M^n."""
         if self.nrows != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        return tuple(reversed(_berkowitz(self.ring, self.rows)))
+        traces, power = [], Matrix.identity(self.nrows, self.ring)
+        for _ in range(self.nrows):
+            power = power * self
+            diagonal = (row[i] for i, row in enumerate(power.rows))
+            traces.append(tuple(map(sum, zip(*diagonal))))
+        return charpoly_from_traces(self.ring, traces)
 
 
-def _berkowitz(ring: Ring, rows) -> list:
-    """Coefficients of det(tI - M), descending in t: the division-free
-    Berkowitz recurrence over the ring.
-
-    Growing the leading block A_r by row R, column S and corner a, the
-    polynomial of A_{r+1} is the Toeplitz product of
-    (1, -a, -R.S, -R.A_r.S, ..., -R.A_r^(r-1).S) with that of A_r.
-    """
-    dot, neg = ring.dot, ring.neg
-    poly = [ring.one]
-    for r in range(len(rows)):
-        col = [ring.one, neg(rows[r][r])]
-        v = [rows[i][r] for i in range(r)]
-        for k in range(r):
-            if k:
-                # v <- A_r v; rows of A_r are cut to length r by zip
-                v = [dot(rows[i], v) for i in range(r)]
-            col.append(neg(dot(rows[r], v)))
-        poly = [dot(col[i::-1], poly) for i in range(r + 2)]
-    return poly
+def charpoly_from_traces(ring: Ring, traces) -> tuple:
+    """Ascending coefficients of det(tI - M) from tr M, ..., tr M^n by
+    Newton's identities k c_k = -sum_{i=1..k} c_{k-i} tr M^i, c_k the
+    coefficient of t^(n-k).  The basis 1, eta, ... is integral, so the
+    coordinates of k c_k are k times those of c_k: integer ones must
+    divide exactly (RuntimeError otherwise), Fraction ones divide in Q."""
+    coeffs = [ring.one]
+    for k in range(1, len(traces) + 1):
+        total = ring.neg(ring.dot(coeffs[::-1], traces))
+        if any(x % k for x in total if not isinstance(x, Fraction)):
+            raise RuntimeError(f"Newton step {k} is not exact: {total} has "
+                               f"a coordinate that is no multiple of {k}")
+        coeffs.append(tuple(x / k if isinstance(x, Fraction) else x // k
+                            for x in total))
+    return tuple(reversed(coeffs))
 
 
 # -- printing ------------------------------------------------------------------

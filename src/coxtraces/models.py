@@ -104,7 +104,7 @@ def h3_charpoly_table_check() -> H3TableVerdict:
         if any((m - ident).det()):
             problems.append(f"{name} unexpectedly has no eigenvalue +1")
 
-    elements, index = closure([ident], [a, b, c], lambda m, g: g * m)
+    elements, index, _ = closure([ident], [a, b, c], lambda m, g: g * m)
     if len(elements) != 120:
         problems.append(f"group order {len(elements)}, expected 120")
     # the generators are involutions, so g m g is conjugation by g

@@ -259,11 +259,12 @@ def _reflections(ring: Ring, cartan) -> list:
 
 def closure(seeds, gens, act):
     """BFS closure of the seeds under x -> act(x, g) for g in gens: the
-    elements in discovery order and the element -> id map."""
+    elements in discovery order, the id map and the layer sizes."""
     elements = list(seeds)
     index = {x: i for i, x in enumerate(elements)}
-    frontier = list(elements)
+    frontier, layers = list(elements), []
     while frontier:
+        layers.append(len(frontier))
         fresh = []
         for x in frontier:
             for g in gens:
@@ -273,7 +274,7 @@ def closure(seeds, gens, act):
                     elements.append(y)
                     fresh.append(y)
         frontier = fresh
-    return elements, index
+    return elements, index, layers
 
 
 def orbits(elements, index, gens, act):
@@ -370,8 +371,8 @@ def build_irreducible(factor: Factor, ring: Ring | None = None) -> RootSystem:
     ring unless another one is given."""
     ring = ring or _ring_of((factor,))
     cartan = cartan_matrix(factor, ring)
-    roots, _ = closure(_units(ring, len(cartan)), _reflections(ring, cartan),
-                       lambda beta, s: s(beta))
+    roots = closure(_units(ring, len(cartan)), _reflections(ring, cartan),
+                    lambda beta, s: s(beta))[0]
     if len(roots) != factor.root_count:
         raise RuntimeError(f"the Cartan matrix of {factor.label} gives "
                            f"{len(roots)} roots, expected {factor.root_count}")

@@ -87,7 +87,7 @@ def unit_icosians() -> tuple:
     they are the roots of the rank-4 icosahedral group."""
     gens = [Quaternion(HALF, HALF, HALF, HALF),
             Quaternion(GOLDEN * HALF, HALF, (GOLDEN - 1) * HALF, ZERO)]
-    units, _ = closure([_Q_BASIS[0]], gens, lambda q, g: q * g)
+    units = closure([_Q_BASIS[0]], gens, lambda q, g: q * g)[0]
     return tuple(sorted(units, key=lambda q: q.coords))
 
 

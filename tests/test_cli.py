@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coxtraces import classes, cli, roots
+from coxtraces import classes, cli, group, roots
 from coxtraces.classes import count
 from coxtraces.cli import main
 
@@ -71,6 +71,16 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_inexact_newton_traces_print_no_count(capsys, monkeypatch):
+    # (1, 0) are the power traces of no integer matrix: Newton's identities
+    # give 2 c_2 = 1, and the class walk must stop before any count prints
+    monkeypatch.setattr(group.Group, "power_traces",
+                        lambda self, i: [(1,), (0,)])
+    with pytest.raises(RuntimeError, match="not exact"):
+        main(["count", "A2", "--strategy", "brute"])
+    assert capsys.readouterr().out == ""
 
 
 def test_e8_brute_force_is_refused(capsys):

@@ -45,6 +45,27 @@ def test_generated_orders_match_the_product_formula():
         assert len(group) == expected
 
 
+def test_bfs_layers_are_the_lengths():
+    # layer k holds the elements of length k: for A3 = S4 these are the
+    # permutations of 4 letters by number of inversions
+    gens = [_table(g) for g in system_from_spec("A3").simple_reflections]
+    _, _, layers = roots.closure([bytes(range(12))], gens, bytes.translate)
+    assert layers == [1, 3, 5, 6, 5, 3, 1]
+
+
+def test_a_wrong_degree_fails_the_layer_certificate(monkeypatch):
+    # degrees of E6 with the right |W| = 51840 and |R| = 72, so only the
+    # Poincare polynomial can tell them from (2, 5, 6, 8, 9, 12)
+    degrees, edges = roots._EXCEPTIONAL[("E", 6)]
+    wrong = (2, 6, 6, 6, 10, 12)
+    assert sum(wrong) == sum(degrees) and wrong != degrees
+    monkeypatch.setitem(roots._EXCEPTIONAL, ("E", 6), (wrong, edges))
+    system = system_from_spec("E6")
+    assert system.known_order == 51840 and len(system.roots) == 72
+    with pytest.raises(RuntimeError, match="Poincare polynomial"):
+        generate_group(system)
+
+
 def test_composite_group_order():
     group = shared_group(system_from_spec("A1+G2"))
     assert group.order == 24

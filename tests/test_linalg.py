@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coxtraces.group import generate_group
-from coxtraces.linalg import Matrix, Ring, coordinate_ring, poly_str
+from coxtraces.linalg import (Matrix, Ring, charpoly_from_traces,
+                              coordinate_ring, poly_str)
 from coxtraces.roots import system_from_spec
 from field import (GOLDEN, ONE, ZERO, FieldElement, dot, from_golden,
                    gauss_det, poly_eval, poly_mul, to_golden)
@@ -53,37 +55,81 @@ def field_matrices(draw):
                   GOLDEN_RING)
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    p = tuple(p) + (ZERO,) * (n - len(p))
-    q = tuple(q) + (ZERO,) * (n - len(q))
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def _lagrange_interpolate(points, values) -> tuple:
-    """Exact polynomial through (points[i], values[i]); points are distinct
-    ints."""
-    result = (ZERO,)
+def _lagrange_interpolate(points, values, ring) -> tuple:
+    """Exact polynomial through (points[i], values[i]), for distinct int
+    points and values in the ring; its coefficients have Fraction
+    coordinates."""
+    coeffs = [[Fraction(0)] * ring.d for _ in points]
     for i, (xi, yi) in enumerate(zip(points, values)):
-        numer, denom = (ONE,), ONE
+        basis, denom = [1], 1
         for j, xj in enumerate(points):
             if j != i:
-                numer = poly_mul(numer, (FieldElement(-xj), ONE))
-                denom = denom * FieldElement(xi - xj)
-        result = _poly_add(result, tuple(yi / denom * a for a in numer))
-    return result
+                # multiply by t - xj
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                denom *= xi - xj
+        for k, a in enumerate(basis):
+            for c, y in enumerate(yi):
+                coeffs[k][c] += Fraction(a * y) / denom
+    return tuple(map(tuple, coeffs))
 
 
-def _interpolated_charpoly(rows):
-    """det(tI - M) from n + 1 Gaussian-elimination determinants at
-    t = 0, 1, -1, 2, -2, ... and Lagrange interpolation: an independent
-    oracle for charpoly()."""
+def _laplace_det(ring, rows):
+    """Determinant by Laplace expansion along the rows, memoized by the
+    columns left: no division, so it serves every ring."""
     n = len(rows)
+
+    @lru_cache(maxsize=None)
+    def minor(r, cols):
+        if r == n:
+            return ring.one
+        total = ring.zero
+        for k, c in enumerate(cols):
+            term = ring.mul(rows[r][c], minor(r + 1, cols[:k] + cols[k + 1:]))
+            total = ring.sub(total, term if k % 2 else ring.neg(term))
+        return total
+    return minor(0, tuple(range(n)))
+
+
+def _bareiss_det(rows) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    work, sign, previous = [list(row) for row in rows], 1, 1
+    n = len(work)
+    for k in range(n - 1):
+        if not work[k][k]:
+            swap = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if swap is None:
+                return 0
+            work[k], work[swap], sign = work[swap], work[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * work[k][k]
+                              - work[i][k] * work[k][j]) // previous
+        previous = work[k][k]
+    return sign * work[-1][-1] if n else 1
+
+
+def _interpolated_charpoly(m):
+    """det(tI - M) from n + 1 exact determinants at t = 0, 1, -1, 2, -2,
+    ... and Lagrange interpolation: an independent oracle for charpoly().
+    The determinants are Bareiss eliminations over Z for integer matrices,
+    Gaussian eliminations in Q(sqrt5) (tests/field.py) over Z[phi], and
+    Laplace expansions over the other rings."""
+    ring, n = m.ring, m.nrows
     points = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(n + 1)]
-    values = [gauss_det([[(t if i == j else 0) - e for j, e in enumerate(row)]
-                         for i, row in enumerate(rows)])
-              for t in points]
-    return _lagrange_interpolate(points, values)
+    values = []
+    for t in points:
+        shifted = [[ring.sub(ring.integer(t) if i == j else ring.zero, e)
+                    for j, e in enumerate(row)] for i, row in enumerate(m.rows)]
+        if ring.n == 1:
+            values.append((_bareiss_det([[e[0] for e in row]
+                                         for row in shifted]),))
+        elif ring.n == 5:
+            field_rows = [list(map(from_golden, row)) for row in shifted]
+            values.append(to_golden(gauss_det(field_rows))[:ring.d])
+        else:
+            values.append(_laplace_det(ring, shifted))
+    return _lagrange_interpolate(points, values, ring)
 
 
 def test_dot_and_dimension_mismatch():
@@ -146,28 +192,39 @@ def test_det_equals_gaussian_elimination(m):
 
 @given(field_matrices())
 def test_charpoly_equals_the_interpolation_oracle(m):
-    assert tuple(map(from_golden, m.charpoly())) == \
-        _interpolated_charpoly(_as_field(m))
+    assert m.charpoly() == _interpolated_charpoly(m)
 
 
-@pytest.mark.parametrize("spec", ["H3", "F4", "B2+I2(5)"])
+@pytest.mark.parametrize("spec", ["H3", "F4", "B2+I2(5)", "A7+A2",
+                                  "H3+I2(7)", "I2(9)+I2(12)"])
 def test_class_span_matrices_match_the_interpolation_oracle(spec):
-    # the ring's Berkowitz against determinants in Q(sqrt5)
+    # Newton's identities on the power traces of each class representative,
+    # read off its root permutation and off its span matrix, against
+    # determinants
     group = generate_group(system_from_spec(spec))
+    ring = group.system.ring
     for members in group.class_orbits():
         span = group.span_matrix_of(members[0])
-        assert tuple(map(from_golden, span.charpoly())) == \
-            _interpolated_charpoly(_as_field(span))
+        from_perm = charpoly_from_traces(ring, group.power_traces(members[0]))
+        assert from_perm == span.charpoly() == _interpolated_charpoly(span)
+
+
+def test_charpoly_from_traces_refuses_an_inexact_newton_step():
+    # p = (1, 0) gives c_1 = -1 and 2 c_2 = -(c_1 p_1 + p_2) = 1
+    with pytest.raises(RuntimeError, match="not exact"):
+        charpoly_from_traces(Ring(1), ((1,), (0,)))
+    # in Q the same traces are those of a rational matrix
+    assert charpoly_from_traces(Ring(1), ((Fraction(1),), (Fraction(0),))) \
+        == ((Fraction(1, 2),), (-1,), (1,))
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6))
 def test_interpolation_recovers_polynomial(int_coeffs):
-    coeffs = tuple(_f(c) for c in int_coeffs)
-    points = list(range(len(coeffs)))
-    values = [poly_eval(coeffs, _f(x)) for x in points]
-    recovered = _lagrange_interpolate(points, values)
-    padded = recovered + (ZERO,) * (len(coeffs) - len(recovered))
-    assert padded == coeffs
+    points = list(range(len(int_coeffs)))
+    values = [(sum(c * x ** k for k, c in enumerate(int_coeffs)),)
+              for x in points]
+    recovered = _lagrange_interpolate(points, values, INTEGERS)
+    assert recovered == tuple((c,) for c in int_coeffs)
 
 
 def test_poly_mul_and_eval_agree():
