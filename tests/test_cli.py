@@ -195,6 +195,8 @@ def test_classes_report(capsys):
     ("B2+I2(5)+A0", "csv", "classes_B2+I2(5)+A0.csv"),
     ("I2(7)", "json", "classes_I2(7).json"),
     ("H3+I2(7)", "markdown", "classes_H3+I2(7).md"),
+    ("B5+A3", "csv", "classes_B5+A3.csv"),
+    ("H4", "markdown", "classes_H4.md"),
 ])
 def test_class_report_matches_golden_text(capsys, spec, fmt, golden):
     # det and char_poly of every class, byte for byte
