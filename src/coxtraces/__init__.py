@@ -12,7 +12,7 @@ routes against each other.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Ring, poly_str
+from .linalg import CertificateError, Matrix, Ring, poly_str
 from .roots import (Factor, RootSystem, SpecParseError, build_irreducible,
                     build_system, cartan_matrix, parse_factor,
                     parse_system_spec, system_from_spec)
@@ -34,7 +34,7 @@ from .models import (H3Generators, H3TableVerdict, H4CensusVerdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Matrix", "Ring", "poly_str",
+    "CertificateError", "Matrix", "Ring", "poly_str",
     "Factor", "RootSystem", "SpecParseError", "build_irreducible",
     "build_system", "cartan_matrix", "parse_factor", "parse_system_spec",
     "system_from_spec",

@@ -14,12 +14,13 @@ compares the equality case T = S against actual -identity membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from functools import reduce
+from operator import add, mul
 
 from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
                     check_enumerable, contains_minus_identity, generate_group,
                     shared_group)
-from .linalg import charpoly_from_traces, poly_str
+from .linalg import CertificateError, charpoly_from_traces, poly_str
 from .partitions import TraceCount, closed_form_count
 from .roots import (RootSystem, build_irreducible, build_system,
                     parse_system_spec, system_label)
@@ -27,7 +28,8 @@ from .roots import (RootSystem, build_irreducible, build_system,
 
 @dataclass
 class ConjugacyClass:
-    """One conjugacy class: representative of minimal id plus invariants.
+    """One conjugacy class: its representative (Group.class_orbits) plus
+    invariants.
     The charpoly coefficients are elements of the system's ring, and the
     determinant is the int +1 or -1."""
 
@@ -56,7 +58,7 @@ def _eigen_flags(system: RootSystem, char_poly) -> tuple:
 
 
 def conjugacy_classes(group: Group):
-    """All conjugacy classes, ordered by minimal element id.
+    """All conjugacy classes, in the order of Group.class_orbits.
 
     Eigen flags and determinant come from one characteristic polynomial
     per class (det M = (-1)^r det(0I - M)), from the power traces of its
@@ -71,13 +73,14 @@ def conjugacy_classes(group: Group):
         plus, minus = _eigen_flags(system, char_poly)
         c0 = char_poly[0]
         if abs(c0[0]) != 1 or any(c0[1:]):
-            raise RuntimeError(f"det(-M) = {ring.text(c0)} is not "
-                               f"+-1 for class of id {seed}")
+            raise CertificateError(f"det(-M) = {ring.text(c0)} is not "
+                                   f"+-1 for class of id {seed}")
         out.append(ConjugacyClass(GroupElement(group, seed), len(members),
                                   c0[0] * sign, char_poly, plus, minus))
     total = sum(c.size for c in out)
     if total != group.order:
-        raise RuntimeError(f"classes cover {total} of {group.order} elements")
+        raise CertificateError(f"classes cover {total} of {group.order} "
+                               "elements")
     _certify_fixed_dims(system, out)
     return out
 
@@ -107,20 +110,16 @@ def _certify_fixed_dims(system: RootSystem, classes) -> None:
         expected = [(d - 1) * a + b for a, b in zip(expected + [0],
                                                     [0] + expected)]
     if found != expected:
-        raise RuntimeError(f"class sizes by fixed dimension {found} are not "
-                           f"the degree product {expected} of {system.label}")
+        raise CertificateError(f"class sizes by fixed dimension {found} are "
+                               f"not the degree product {expected} of "
+                               f"{system.label}")
 
 
 def count_brute_force(group: Group) -> TraceCount:
     """Trace/supertrace counts by full class enumeration."""
-    traces = 0
-    supertraces = 0
-    for cls in conjugacy_classes(group):
-        if not cls.has_plus_one:
-            traces += 1
-        if not cls.has_minus_one:
-            supertraces += 1
-    return TraceCount(traces, supertraces, "brute_force")
+    classes = conjugacy_classes(group)
+    return TraceCount(sum(not c.has_plus_one for c in classes),
+                      sum(not c.has_minus_one for c in classes), "brute_force")
 
 
 def _factors_of(system_or_spec) -> tuple:
@@ -151,10 +150,7 @@ def count(system_or_spec, strategy: str = "auto",
             system_or_spec = build_system(factors)
         return count_brute_force(generate_group(system_or_spec, budget=budget,
                                                 heavy=heavy))
-    result = None
-    for factor in factors:
-        step = closed_form_count(factor)
-        result = step if result is None else result * step
+    result = reduce(mul, map(closed_form_count, factors))
     if len(factors) > 1:
         return TraceCount(result.traces, result.supertraces, "composed")
     return result

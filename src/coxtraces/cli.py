@@ -2,11 +2,12 @@
 
 Commands: count, classes, table, verify, cache.  Output is byte-stable
 for fixed inputs (timing goes to stderr), so runs can be diffed.  Exit
-codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 enumeration refused (root limit, ring limit, budget or heavy
-threshold), 4 I/O problem.  Class reports print charpoly coefficients
-in the forms of coxtraces.linalg.Ring.text and Ring.as_json, which
-depend only on the system's ring index N.
+codes: 0 success, 1 verification failure or a failed certificate
+(CertificateError, whose message goes to stderr before any result is
+printed), 2 usage or parse error, 3 enumeration refused (root limit,
+ring limit, budget or heavy threshold), 4 I/O problem.  Class reports
+print charpoly coefficients in the forms of coxtraces.linalg.Ring.text
+and Ring.as_json, which depend only on the system's ring index N.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .classes import conjugacy_classes, count, count_brute_force
 from .group import (CACHE_VERSION, DEFAULT_BUDGET, BudgetExceededError,
                     CacheFormatError, check_enumerable, generate_group,
                     load_group, save_group)
+from .linalg import CertificateError
 from .partitions import closed_form_count
 from .roots import (Factor, SpecParseError, build_irreducible, build_system,
                     parse_system_spec, system_label, system_order)
@@ -34,6 +36,11 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+
+# the errors that print as one line on stderr, and their exit codes
+_ERROR_EXITS = {SpecParseError: EXIT_USAGE, BudgetExceededError: EXIT_BUDGET,
+                CertificateError: EXIT_VERIFY, CacheFormatError: EXIT_IO,
+                OSError: EXIT_IO}
 
 ENV_CACHE_DIR = "COXTRACES_CACHE_DIR"
 ENV_BUDGET = "COXTRACES_BUDGET"
@@ -93,26 +100,20 @@ def _print_rows(rows, fmt, header, json_payload):
 
 
 def _effective_budget(args) -> int:
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get(ENV_BUDGET)
-        if env is not None:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise SpecParseError(
-                    f"{ENV_BUDGET} must be an integer, got {env!r}")
-    if budget is None:
-        return DEFAULT_BUDGET
-    if budget < 0:
+    budget, env = args.budget, os.environ.get(ENV_BUDGET)
+    if budget is None and env is not None:
+        try:
+            budget = int(env)
+        except ValueError:
+            raise SpecParseError(
+                f"{ENV_BUDGET} must be an integer, got {env!r}")
+    if budget is not None and budget < 0:
         raise SpecParseError(f"budget must be non-negative, got {budget}")
-    return budget
+    return DEFAULT_BUDGET if budget is None else budget
 
 
 def _effective_cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get(ENV_CACHE_DIR)
+    return args.cache_dir or os.environ.get(ENV_CACHE_DIR)
 
 
 def _cache_path(cache_dir: str, label: str) -> str:
@@ -220,8 +221,8 @@ def _table_row(factor: Factor, budget: int) -> ReportRow:
         brute = count_brute_force(generate_group(build_irreducible(factor),
                                                  budget=budget))
         if brute.pair() != result.pair():  # cannot happen; belt and braces
-            raise RuntimeError(f"closed form disagrees with brute force "
-                               f"on {factor.label}")
+            raise CertificateError(f"closed form disagrees with brute "
+                                   f"force on {factor.label}")
         method = "closed_form=brute"
     return ReportRow(factor.label, result.traces, result.supertraces, method,
                      factor.order, factor.contains_minus_identity)
@@ -294,14 +295,12 @@ def cmd_cache(args) -> int:
         save_group(group, path)
         print(f"cached {group.system.label}: {group.order} elements -> {path}")
         return EXIT_OK
+    names = sorted(n for n in (os.listdir(cache_dir)
+                               if os.path.isdir(cache_dir) else ())
+                   if n.endswith(".grp"))
     if args.action == "list":
-        if not os.path.isdir(cache_dir):
-            print("(empty)")
-            return EXIT_OK
-        names = sorted(n for n in os.listdir(cache_dir) if n.endswith(".grp"))
         if not names:
             print("(empty)")
-            return EXIT_OK
         for name in names:
             path = os.path.join(cache_dir, name)
             try:
@@ -311,14 +310,9 @@ def cmd_cache(args) -> int:
             except CacheFormatError as exc:
                 print(f"{name}  UNREADABLE ({exc})")
         return EXIT_OK
-    # clear
-    removed = 0
-    if os.path.isdir(cache_dir):
-        for name in os.listdir(cache_dir):
-            if name.endswith(".grp"):
-                os.remove(os.path.join(cache_dir, name))
-                removed += 1
-    print(f"removed {removed} cached group(s)")
+    for name in names:  # clear
+        os.remove(os.path.join(cache_dir, name))
+    print(f"removed {len(names)} cached group(s)")
     return EXIT_OK
 
 
@@ -390,18 +384,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except SpecParseError as exc:
+    except tuple(_ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CacheFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _ERROR_EXITS.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

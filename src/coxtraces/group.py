@@ -1,11 +1,12 @@
-"""Breadth-first generation of finite reflection groups.
+"""Generation of finite reflection groups: half a BFS and its mirror.
 
 Elements are stored as permutations of the root list, one byte per
 root (so at most 256 roots), and composition is a single bytes.translate
-call.  The generators are the simple reflections, whose permutations
-the root system computes from its Cartan matrix.  Ids are dense and
-follow discovery order, which is deterministic: the BFS walks the
-generators in simple-root order, layer by layer.
+call.  A BFS by left multiplication with the simple reflections, in
+simple-root order, finds the elements of length 0..floor(N/2), N =
+|R|/2; each longer layer N - k is w0 times layer k, as the longest
+element w0 maps length k onto N - k (Bjorner-Brenti 2.3.2).  Ids are
+the BFS ids, then the mirrored layers by length.
 
 Roots are coordinate vectors in the simple basis over the system's ring
 Z[2cos(pi/N)], so the matrix of an element on the span of the roots has
@@ -22,8 +23,9 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
-from .linalg import Matrix
+from .linalg import CertificateError, Matrix
 from .roots import (BudgetExceededError, RootSystem, checked_ring_index,
                     closure, orbits, parse_system_spec, system_from_spec,
                     system_label, system_order)
@@ -38,6 +40,7 @@ _MAX_ROOTS = 256  # one byte per root
 
 _CACHE_MAGIC = b"CXGC"
 CACHE_VERSION = 2
+_CACHE_BLOCK = 4096  # elements hashed and written per join
 
 
 @dataclass(frozen=True)
@@ -125,12 +128,19 @@ class Group:
     # -- classes -----------------------------------------------------------------
 
     def class_orbits(self):
-        """Conjugacy classes as id lists: orbits under conjugation by the
-        walk set, which certifiably generates the group."""
+        """Conjugacy classes as id lists, each starting with its
+        representative: orbits under conjugation by the certified walk set,
+        by least element in the full BFS numbering.  Ids below the mirror
+        line (length <= floor(N/2)) are BFS ids; classes with none follow,
+        ranked by _bfs_key."""
         walk = self.walk_set()
         _certify_walk_set(walk, [self.perms[i] for i in self.generator_ids])
-        return orbits(self.perms, self.index, [_walker(g) for g in walk],
-                      _conjugate)
+        found = orbits(self.perms, self.index, [_walker(g) for g in walk],
+                       _conjugate)
+        line = sum(_poincare(self.system)[:len(self.system.roots) // 4 + 1])
+        ranked = sorted(_bfs_key(self, m) for m in found if m[0] >= line)
+        return ([m for m in found if m[0] < line]
+                + [[rep] + [i for i in m if i != rep] for _, rep, m in ranked])
 
     def walk_set(self) -> list:
         """A small generating set to conjugate by: the Coxeter element
@@ -174,6 +184,33 @@ def _conjugate(x: bytes, g) -> bytes:
     return inverse.translate(x.translate(table).ljust(256, b"\x00"))
 
 
+def _descend(system, w: bytes, ascend: bool = False) -> tuple:
+    """w <- w s_k for the least k with w(alpha_k) negative (positive when
+    ascending) until there is none: the identity (w0) and the k taken."""
+    positive, simple, word = system.positive, system.simple_root_indices, ()
+    while ks := [k for k, a in enumerate(simple) if positive[w[a]] == ascend]:
+        word += (ks[0],)
+        w = _compose(w, system.simple_reflections[ks[0]])
+    return w, word
+
+
+def _length(system, w: bytes) -> int:
+    """The number of positive roots that w sends to negative roots."""
+    positive = system.positive
+    return sum(1 for r, p in enumerate(positive) if p and not positive[w[r]])
+
+
+def _bfs_key(group: Group, members) -> tuple:
+    """((length, word), id, members) of the member the full BFS finds
+    first: least length, then least lex-first reduced word of w^-1 (the
+    BFS reads its frontier in id order and tries s_0, s_1, ... in turn)."""
+    system, perms = group.system, group.perms
+    lengths = {i: _length(system, perms[i]) for i in members}
+    least = min(lengths.values())
+    return min(((least, _descend(system, perms[i])[1]), i, members)
+               for i in members if lengths[i] == least)
+
+
 def _reach(walk, simple) -> dict:
     """The conjugates, under the group the walk set generates, of the
     simple reflections in it: every one lies in that group."""
@@ -188,8 +225,9 @@ def _certify_walk_set(walk, simple) -> None:
     reached = _reach(walk, simple)
     missing = [k for k, s in enumerate(simple) if s not in reached]
     if missing:
-        raise RuntimeError(f"the class walk set does not reach the simple "
-                           f"reflections {missing}; it may not generate W")
+        raise CertificateError(f"the class walk set does not reach the "
+                               f"simple reflections {missing}; it may not "
+                               "generate W")
 
 
 def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
@@ -225,44 +263,65 @@ def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
 def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
                    heavy: bool = False, allow_e8: bool = False) -> Group:
     """Enumerate the reflection group of a root system, after the refusals
-    of check_enumerable, and certify the BFS by its layer sizes."""
+    of check_enumerable.  The BFS certifies the lower layers, w0 is
+    certified longest, the layer sizes are the coefficients of the
+    Poincare polynomial, of degree |R|/2 with one element on top, and no
+    element repeats: so the |W| elements are W, each in its length layer."""
     check_enumerable(system.factors, budget, heavy, allow_e8)
     gen_perms = system.simple_reflections
+    top, half = len(system.roots) // 2, len(system.roots) // 4
     # x.translate(_table(g)) is g after x
     perms, index, layers = closure([bytes(range(len(system.roots)))],
                                    [_table(g) for g in gen_perms],
-                                   bytes.translate)
-    _certify_layers(system, layers)
+                                   bytes.translate, depth=half + 1)
+    w0 = _table(longest_element(system))
+    for end, size in reversed(list(zip(accumulate(layers), layers))[:top - half]):
+        mirrored = [x.translate(w0) for x in perms[end - size:end]]
+        index.update(zip(mirrored, range(len(perms), len(perms) + size)))
+        perms.extend(mirrored)
+        layers.append(size)
+    expected = _poincare(system)
+    if layers != expected or len(layers) != top + 1:
+        raise CertificateError(f"BFS layer sizes {layers} of {system.label} "
+                               f"are not the Poincare polynomial {expected} "
+                               f"of its degrees, of degree {top}")
+    if len(index) != len(perms):
+        raise CertificateError(f"the w0 mirror of {system.label} repeats "
+                               f"{len(perms) - len(index)} elements")
     generator_ids = [index[g] for g in gen_perms]
     return Group(system, perms, index, generator_ids)
 
 
-def _certify_layers(system: RootSystem, layers) -> None:
-    """Raise unless the BFS layer sizes (the numbers of elements of each
-    length) are the coefficients of the Poincare polynomial prod_i (1 + q
-    + ... + q^(d_i - 1)) over the degrees d_i, of degree |R|/2 with one
-    element on top (Chevalley 1955); they then add up to |W|."""
-    expected = [1]
+def longest_element(system: RootSystem) -> bytes:
+    """The longest element w0 as a root permutation: w <- w s_k from the
+    identity while some w(alpha_k) is positive, certified to send all
+    |R|/2 positive roots to negative roots."""
+    w0 = _descend(system, bytes(range(len(system.roots))), ascend=True)[0]
+    if not system.positive.count(1) == _length(system, w0) == len(w0) // 2:
+        raise CertificateError(f"{system.label}: the element taken for w0 "
+                               "sends a positive root to a positive root")
+    return w0
+
+
+def _poincare(system: RootSystem) -> list:
+    """The number of elements of each length: the coefficients of the
+    Poincare polynomial prod_i (1 + q + ... + q^(d_i - 1)) over the
+    degrees d_i (Chevalley 1955)."""
+    coefficients = [1]
     for d in (d for f in system.factors for d in f.degrees):
         # times 1 + q + ... + q^(d-1): coefficient k sums a window of d
-        expected = [sum(expected[max(k - d + 1, 0):k + 1])
-                    for k in range(len(expected) + d - 1)]
-    top = len(system.roots) // 2
-    if layers != expected or len(layers) != top + 1:
-        raise RuntimeError(f"BFS layer sizes {layers} of {system.label} are "
-                           f"not the Poincare polynomial {expected} of its "
-                           f"degrees, of degree {top}")
+        coefficients = [sum(coefficients[max(k - d + 1, 0):k + 1])
+                        for k in range(len(coefficients) + d - 1)]
+    return coefficients
 
 
 def contains_minus_identity(group: Group) -> bool:
     """Whether -identity (on the full ambient space) lies in the group."""
     system = group.system
-    if system.trivial_dims > 0:
-        # directions with no roots are fixed pointwise by every element
-        return False
     neg = bytes(system.root_index[tuple(map(system.ring.neg, r))]
                 for r in system.roots)
-    return neg in group.index
+    # directions with no roots are fixed pointwise by every element
+    return system.trivial_dims == 0 and neg in group.index
 
 
 # -- shared in-process cache ----------------------------------------------------
@@ -274,12 +333,10 @@ _SHARED: dict = {}
 def shared_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
                  heavy: bool = False) -> Group:
     """Memoized generate_group keyed by the system label."""
-    key = system.label
-    group = _SHARED.get(key)
-    if group is None:
-        group = generate_group(system, budget=budget, heavy=heavy)
-        _SHARED[key] = group
-    return group
+    if system.label not in _SHARED:
+        _SHARED[system.label] = generate_group(system, budget=budget,
+                                               heavy=heavy)
+    return _SHARED[system.label]
 
 
 # -- on-disk cache ----------------------------------------------------------------
@@ -296,10 +353,8 @@ def save_group(group: Group, path) -> None:
     # hashlib is imported only here and in load_group: it loads OpenSSL,
     # about 4 MB of resident memory that a run without the cache never needs
     import hashlib
-    label, ids = group.system.label.encode(), group.generator_ids
+    label, ids, perms = group.system.label.encode(), group.generator_ids, group.perms
     digest = hashlib.sha256()
-    for p in group.perms:
-        digest.update(p)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         # the width byte is always 1
@@ -308,9 +363,14 @@ def save_group(group: Group, path) -> None:
                  + struct.pack("<IQH", len(group.system.roots), group.order,
                                len(ids))
                  + struct.pack(f"<{len(ids)}I", *ids))
+        digest_at = fh.tell()
+        fh.write(bytes(32))  # the digest, once the payload is written
+        for k in range(0, len(perms), _CACHE_BLOCK):
+            block = b"".join(perms[k:k + _CACHE_BLOCK])
+            digest.update(block)
+            fh.write(block)
+        fh.seek(digest_at)
         fh.write(digest.digest())
-        for p in group.perms:
-            fh.write(p)
     os.replace(tmp, path)
 
 

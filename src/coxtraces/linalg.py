@@ -22,6 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+
+class CertificateError(RuntimeError):
+    """An exactness or classical-invariant check failed: nothing prints."""
+
+
 # -- the coordinate ring -----------------------------------------------------
 
 
@@ -263,13 +268,14 @@ def charpoly_from_traces(ring: Ring, traces) -> tuple:
     Newton's identities k c_k = -sum_{i=1..k} c_{k-i} tr M^i, c_k the
     coefficient of t^(n-k).  The basis 1, eta, ... is integral, so the
     coordinates of k c_k are k times those of c_k: integer ones must
-    divide exactly (RuntimeError otherwise), Fraction ones divide in Q."""
+    divide exactly (CertificateError otherwise), Fraction ones in Q."""
     coeffs = [ring.one]
     for k in range(1, len(traces) + 1):
         total = ring.neg(ring.dot(coeffs[::-1], traces))
         if any(x % k for x in total if not isinstance(x, Fraction)):
-            raise RuntimeError(f"Newton step {k} is not exact: {total} has "
-                               f"a coordinate that is no multiple of {k}")
+            raise CertificateError(f"Newton step {k} is not exact: {total} "
+                                   f"has a coordinate that is no multiple "
+                                   f"of {k}")
         coeffs.append(tuple(x / k if isinstance(x, Fraction) else x // k
                             for x in total))
     return tuple(reversed(coeffs))

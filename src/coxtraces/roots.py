@@ -22,8 +22,8 @@ integers Z[phi].
 The node order, and the orientation of I2(4) and I2(6), is the one in
 which earlier releases found the simple roots of their vector models,
 so element ids, class order and every printed report stay the same.
-|W|, |R|, the Coxeter number and whether -1 lies in W are read off the
-degrees of the basic invariants.
+|W|, |R| and whether -1 lies in W are read off the degrees of the basic
+invariants.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from math import lcm, prod
 
-from .linalg import Ring, coordinate_ring
+from .linalg import CertificateError, Ring, coordinate_ring
 
 # the degrees of the basic invariants (Humphreys, Reflection Groups and
 # Coxeter Groups, Table 3.1) and the Cartan edges: (i, j) for
@@ -105,11 +105,6 @@ class Factor:
     def root_count(self) -> int:
         """|R|, twice the sum of the degrees minus one."""
         return 2 * sum(d - 1 for d in self.degrees)
-
-    @property
-    def coxeter_number(self) -> int:
-        """h, the largest degree (1 for A0)."""
-        return max(self.degrees, default=1)
 
     @property
     def contains_minus_identity(self) -> bool:
@@ -257,14 +252,17 @@ def _reflections(ring: Ring, cartan) -> list:
 # -- the one closure and orbit walk, for roots and every group model ---------
 
 
-def closure(seeds, gens, act):
+def closure(seeds, gens, act, depth=None):
     """BFS closure of the seeds under x -> act(x, g) for g in gens: the
-    elements in discovery order, the id map and the layer sizes."""
+    elements in discovery order, the id map and the layer sizes; with a
+    depth, only that many layers, the last one not expanded."""
     elements = list(seeds)
     index = {x: i for i, x in enumerate(elements)}
     frontier, layers = list(elements), []
     while frontier:
         layers.append(len(frontier))
+        if len(layers) == depth:
+            break
         fresh = []
         for x in frontier:
             for g in gens:
@@ -320,6 +318,7 @@ class RootSystem:
         self._root_index = None
         self._simple = None
         self._reflections = None
+        self._positive = None
 
     @property
     def label(self) -> str:
@@ -362,6 +361,18 @@ class RootSystem:
                 for s in _reflections(self.ring, self.cartan))
         return self._reflections
 
+    @property
+    def positive(self) -> bytes:
+        """Byte mask of the positive roots: the closure of the simple roots
+        under the simple reflections, s_i not applied to alpha_i (it
+        permutes the other positive roots), so no sign is ever read."""
+        if self._positive is None:
+            gens = list(zip(self.simple_reflections, self.simple_root_indices))
+            found = set(closure(self.simple_root_indices, gens,
+                                lambda r, g: r if r == g[1] else g[0][r])[0])
+            self._positive = bytes(r in found for r in range(len(self.roots)))
+        return self._positive
+
     def __repr__(self):
         return f"RootSystem({self.label}, {len(self.roots)} roots, rank {self.rank})"
 
@@ -374,8 +385,9 @@ def build_irreducible(factor: Factor, ring: Ring | None = None) -> RootSystem:
     roots = closure(_units(ring, len(cartan)), _reflections(ring, cartan),
                     lambda beta, s: s(beta))[0]
     if len(roots) != factor.root_count:
-        raise RuntimeError(f"the Cartan matrix of {factor.label} gives "
-                           f"{len(roots)} roots, expected {factor.root_count}")
+        raise CertificateError(f"the Cartan matrix of {factor.label} gives "
+                               f"{len(roots)} roots, expected "
+                               f"{factor.root_count}")
     return RootSystem((factor,), sorted(roots), cartan, ring)
 
 

@@ -75,12 +75,14 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_inexact_newton_traces_print_no_count(capsys, monkeypatch):
     # (1, 0) are the power traces of no integer matrix: Newton's identities
-    # give 2 c_2 = 1, and the class walk must stop before any count prints
+    # give 2 c_2 = 1, and the class walk must stop before any count prints;
+    # the failed certificate is a message and exit 1, not a traceback
     monkeypatch.setattr(group.Group, "power_traces",
                         lambda self, i: [(1,), (0,)])
-    with pytest.raises(RuntimeError, match="not exact"):
-        main(["count", "A2", "--strategy", "brute"])
-    assert capsys.readouterr().out == ""
+    code, out, err = _run(capsys, "count", "A2", "--strategy", "brute")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not exact" in err
 
 
 def test_e8_brute_force_is_refused(capsys):

@@ -8,15 +8,17 @@ import struct
 
 import pytest
 
+from coxtraces import group as group_module
 from coxtraces import roots
 from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
                              CacheFormatError, Group, GroupElement,
-                             _conjugate, _table, _walker,
+                             _compose, _conjugate,
+                             _descend, _table, _walker,
                              contains_minus_identity,
-                             generate_group, load_group, save_group,
-                             shared_group)
-from coxtraces.linalg import Matrix
-from coxtraces.roots import orbits, system_from_spec
+                             generate_group, load_group, longest_element,
+                             save_group, shared_group)
+from coxtraces.linalg import CertificateError, Matrix
+from coxtraces.roots import closure, orbits, system_from_spec
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -45,12 +47,113 @@ def test_generated_orders_match_the_product_formula():
         assert len(group) == expected
 
 
+def _full_bfs(system):
+    """The full BFS by left multiplication, which numbered the elements
+    before the w0 mirror: elements, index and layer sizes."""
+    gens = [_table(g) for g in system.simple_reflections]
+    return closure([bytes(range(len(system.roots)))], gens, bytes.translate)
+
+
 def test_bfs_layers_are_the_lengths():
     # layer k holds the elements of length k: for A3 = S4 these are the
     # permutations of 4 letters by number of inversions
-    gens = [_table(g) for g in system_from_spec("A3").simple_reflections]
-    _, _, layers = roots.closure([bytes(range(12))], gens, bytes.translate)
+    _, _, layers = _full_bfs(system_from_spec("A3"))
     assert layers == [1, 3, 5, 6, 5, 3, 1]
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2", "H3", "A2+A1",
+                                   "E6"])
+def test_full_bfs_orders_each_layer_by_the_lex_first_word(label):
+    # the order the class report keeps: within a length the full BFS
+    # finds the elements sorted by the lex-first reduced word of w^-1
+    system = system_from_spec(label)
+    perms, _, layers = _full_bfs(system)
+    words = [_descend(system, w)[1] for w in perms]
+    start = 0
+    for length, size in enumerate(layers):
+        layer = words[start:start + size]
+        assert all(len(w) == length for w in layer), (label, length)
+        assert layer == sorted(layer), (label, length)
+        start += size
+
+
+@pytest.mark.parametrize("label", ["A3", "H3", "B2+I2(5)+A0"])
+def test_closure_to_a_depth_is_a_prefix_of_the_full_closure(label):
+    system = system_from_spec(label)
+    gens = [_table(g) for g in system.simple_reflections]
+    full, full_index, full_layers = _full_bfs(system)
+    for depth in range(1, len(full_layers) + 2):
+        perms, index, layers = closure([bytes(range(len(system.roots)))],
+                                       gens, bytes.translate, depth=depth)
+        assert layers == full_layers[:depth]
+        assert perms == full[:sum(layers)]
+        assert index == {p: full_index[p] for p in perms}
+
+
+@pytest.mark.parametrize("label", ["A0", "A1", "A3", "B3", "H3", "A2+A1",
+                                   "E6", "B5+A3", "A1+H4", "I2(127)"])
+def test_mirror_gives_the_full_bfs_set_with_the_lower_ids(label):
+    system = system_from_spec(label)
+    group = generate_group(system)
+    full, _, layers = _full_bfs(system)
+    assert set(group.perms) == set(full)
+    line = sum(layers[:len(system.roots) // 4 + 1])
+    assert group.perms[:line] == full[:line]
+    # the upper layers are w0 times the lower ones, longest last
+    w0 = longest_element(system)
+    assert group.perms[-1] == w0
+    assert group.perms[line:] == sorted(
+        group.perms[line:], key=lambda p: group_module._length(system, p))
+
+
+_LONGEST_FACTORS = ([f"A{n}" for n in range(1, 9)]
+                    + [f"B{n}" for n in range(2, 9)]
+                    + [f"D{n}" for n in range(4, 9)]
+                    + ["E6", "E7", "E8", "F4", "G2", "H3", "H4"]
+                    + [f"I2({m})" for m in range(3, 13)])
+
+
+@pytest.mark.parametrize("label", _LONGEST_FACTORS)
+def test_longest_element_is_minus_one_exactly_when_the_degrees_say_so(
+        label, monkeypatch):
+    # w0 takes no enumeration of the group: the group's BFS is barred
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group was enumerated")
+    monkeypatch.setattr(group_module, "closure", refuse)
+    system = system_from_spec(label)
+    w0 = longest_element(system)
+    ring, n = system.ring, len(system.roots)
+    negation = bytes(system.root_index[tuple(map(ring.neg, r))]
+                     for r in system.roots)
+    assert ((w0 == negation)
+            == roots.parse_factor(label).contains_minus_identity), label
+    positive = system.positive
+    flipped = [r for r in range(n) if positive[r] and not positive[w0[r]]]
+    assert len(flipped) == n // 2 == positive.count(1)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D5", "E6", "H3", "A2+A1"])
+def test_a_shorter_w0_fails_the_repeat_check(label, monkeypatch):
+    system = system_from_spec(label)
+    w0, s0 = longest_element(system), system.simple_reflections[0]
+    monkeypatch.setattr(group_module, "longest_element",
+                        lambda system: _compose(w0, s0))
+    with pytest.raises(CertificateError, match="repeats"):
+        generate_group(system)
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "H3", "A2+A1", "E6"])
+def test_an_element_that_is_not_longest_fails_the_w0_certificate(
+        label, monkeypatch):
+    system = system_from_spec(label)
+    w0 = longest_element(system)
+    for w in (bytes(range(len(system.roots))),
+              _compose(w0, system.simple_reflections[0]),
+              _compose(system.simple_reflections[-1], w0)):
+        monkeypatch.setattr(group_module, "_descend",
+                            lambda *args, w=w, **kwargs: (w, ()))
+        with pytest.raises(CertificateError, match="positive root to a positive root"):
+            longest_element(system)
 
 
 def test_a_wrong_degree_fails_the_layer_certificate(monkeypatch):
@@ -225,8 +328,14 @@ def test_class_walk_equals_the_simple_reflection_walk(label):
     group = shared_group(system_from_spec(label))
     walk = group.class_orbits()
     oracle = _simple_reflection_walk(group)
-    assert [m[0] for m in walk] == [m[0] for m in oracle]
-    assert [set(m) for m in walk] == [set(m) for m in oracle]
+    assert ({frozenset(m) for m in walk} == {frozenset(m) for m in oracle}
+            and len(walk) == len(oracle))
+    # in the full-BFS numbering the classes come by least element, which
+    # is their representative
+    _, full_index, _ = _full_bfs(group.system)
+    least = [min(full_index[group.perms[i]] for i in m) for m in walk]
+    assert [full_index[group.perms[m[0]]] for m in walk] == least
+    assert least == sorted(least)
 
 
 @pytest.mark.parametrize("label, size", [("A0", 0), ("A1", 1), ("B2", 2),
@@ -283,6 +392,25 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.system.label == "B2+A1"
     assert list(loaded.perms) == list(group.perms)
     assert loaded.generator_ids == group.generator_ids
+
+
+def test_cache_blocks_leave_the_file_bytes_as_they_were(tmp_path,
+                                                       monkeypatch):
+    # one header, the SHA-256 of the joined payload, then the payload:
+    # the same bytes whatever the block size, and more than one block
+    group = generate_group(system_from_spec("A6"))
+    assert group.order > group_module._CACHE_BLOCK
+    label, ids = b"A6", group.generator_ids
+    payload = b"".join(group.perms)
+    expected = (struct.pack("<4sBBH", b"CXGC", 2, 1, len(label)) + label
+                + struct.pack("<IQH", 42, group.order, len(ids))
+                + struct.pack(f"<{len(ids)}I", *ids)
+                + hashlib.sha256(payload).digest() + payload)
+    save_group(group, tmp_path / "a6.grp")
+    assert (tmp_path / "a6.grp").read_bytes() == expected
+    monkeypatch.setattr(group_module, "_CACHE_BLOCK", 7)
+    save_group(group, tmp_path / "a6_small_blocks.grp")
+    assert (tmp_path / "a6_small_blocks.grp").read_bytes() == expected
 
 
 def test_cache_rejects_corruption(tmp_path):

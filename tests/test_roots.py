@@ -371,3 +371,16 @@ def test_highest_h3_root_reflection_has_golden_entries():
     assert m * m == Matrix.identity(3, ring)
     assert m.det() == ring.integer(-1)
     assert any(y for row in m.rows for _, y in row)
+
+
+@pytest.mark.parametrize("spec", ["A5", "B4", "D5", "E8", "F4", "G2", "H3",
+                                  "H4", "I2(7)", "I2(12)", "H3+I2(7)+A0"])
+def test_positive_mask_is_the_sign_of_the_roots(spec):
+    # the mask reads no sign; numerically, a positive root has coordinates
+    # >= 0 in the simple basis and a negative one <= 0
+    system = system_from_spec(spec)
+    eta = 2 * math.cos(math.pi / system.ring.n)
+    for root, positive in zip(system.roots, system.positive):
+        total = sum(c * eta ** j for x in root for j, c in enumerate(x))
+        assert positive == (total > 0), (spec, root)
+    assert system.positive.count(1) == len(system.roots) // 2
