@@ -29,9 +29,8 @@ from .roots import (RootSystem, build_irreducible, build_system,
 @dataclass
 class ConjugacyClass:
     """One conjugacy class: its representative (Group.class_orbits) plus
-    invariants.
-    The charpoly coefficients are elements of the system's ring, and the
-    determinant is the int +1 or -1."""
+    invariants.  The charpoly coefficients are elements of the system's
+    ring, and the determinant is the int +1 or -1."""
 
     representative: GroupElement
     size: int
