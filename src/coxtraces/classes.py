@@ -18,8 +18,7 @@ from functools import reduce
 from operator import add, mul
 
 from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
-                    check_enumerable, contains_minus_identity, generate_group,
-                    shared_group)
+                    check_enumerable, contains_minus_identity, generate_group)
 from .linalg import CertificateError, charpoly_from_traces, poly_str
 from .partitions import TraceCount, closed_form_count
 from .roots import (RootSystem, build_irreducible, build_system,
@@ -178,28 +177,26 @@ class InequalityVerdict:
         return self.s_positive and self.t_le_s and self.equality_iff_minus_identity
 
 
-def verify_inequality_theorem(system_or_spec, budget: int = DEFAULT_BUDGET,
-                              heavy: bool = False) -> InequalityVerdict:
+def verify_inequality_theorem(system_or_spec) -> InequalityVerdict:
     """Check S > 0, T <= S, and T = S exactly when -identity is in the group.
 
-    -identity membership is established by actually enumerating each
-    factor group that check_enumerable lets through; only the factors it
-    refuses fall back to the degree table.  The composite system's roots
-    are never built.
+    -identity membership is established on each factor's own roots by
+    comparing the certified w0 with -1 (contains_minus_identity), with no
+    enumeration; only a factor past the root or ring limit falls back to
+    the degree table.  The composite system's roots are never built.
     """
     factors = _factors_of(system_or_spec)
     counts = count(factors, strategy="closed")
     factor_results = []
     minus = True
     for factor in factors:
-        try:
-            check_enumerable((factor,), budget, heavy)
+        try:  # nothing is enumerated: only the root and ring limits apply
+            check_enumerable((factor,), factor.order, heavy=True, allow_e8=True)
         except BudgetExceededError:
             present, method = factor.contains_minus_identity, "table"
         else:
-            group = shared_group(build_irreducible(factor), budget=budget,
-                                 heavy=heavy)
-            present, method = contains_minus_identity(group), "engine"
+            present = contains_minus_identity(build_irreducible(factor))
+            method = "engine"
         factor_results.append(FactorMinusIdentity(factor.label, method,
                                                   present))
         minus = minus and present

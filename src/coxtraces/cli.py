@@ -22,9 +22,8 @@ import time
 from dataclasses import dataclass
 
 from .classes import conjugacy_classes, count, count_brute_force
-from .group import (CACHE_VERSION, DEFAULT_BUDGET, BudgetExceededError,
-                    CacheFormatError, check_enumerable, generate_group,
-                    load_group, save_group)
+from .group import (DEFAULT_BUDGET, BudgetExceededError, CacheFormatError,
+                    check_enumerable, generate_group, load_group, save_group)
 from .linalg import CertificateError
 from .partitions import closed_form_count
 from .roots import (Factor, SpecParseError, build_irreducible, build_system,
@@ -262,8 +261,7 @@ def cmd_verify(args) -> int:
     budget = _effective_budget(args)
     started = time.perf_counter()
     if args.scope == "theorems":
-        result = verify_mod.inequality_suite(trials=args.trials, seed=args.seed,
-                                             budget=budget, heavy=args.heavy)
+        result = verify_mod.inequality_suite(trials=args.trials, seed=args.seed)
         extra = verify_mod.multiplicativity_suite(seed=args.seed, budget=budget)
         result.lines.extend(extra.lines)
     elif args.scope == "lemma":
@@ -305,8 +303,10 @@ def cmd_cache(args) -> int:
             path = os.path.join(cache_dir, name)
             try:
                 group = load_group(path)
+                with open(path, "rb") as fh:
+                    version = fh.read(5)[4]  # after the 4-byte magic
                 print(f"{group.system.label}  order={group.order}  "
-                      f"bytes={os.path.getsize(path)}  version={CACHE_VERSION}")
+                      f"bytes={os.path.getsize(path)}  version={version}")
             except CacheFormatError as exc:
                 print(f"{name}  UNREADABLE ({exc})")
         return EXIT_OK

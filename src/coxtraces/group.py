@@ -8,6 +8,11 @@ simple-root order, finds the elements of length 0..floor(N/2), N =
 element w0 maps length k onto N - k (Bjorner-Brenti 2.3.2).  Ids are
 the BFS ids, then the mirrored layers by length.
 
+Conjugacy classes are walked modulo the certified centre of W: z C is
+a class for every central z, so once the walk has found C it takes each
+z C whole, one translate and one lookup per member.  The centre is the
+product of the factor centres, each {1, -1 on that factor} or trivial.
+
 Roots are coordinate vectors in the simple basis over the system's ring
 Z[2cos(pi/N)], so the matrix of an element on the span of the roots has
 the images of the simple roots as its columns; no other matrix model
@@ -39,7 +44,9 @@ _E8_ORDER = 696_729_600
 _MAX_ROOTS = 256  # one byte per root
 
 _CACHE_MAGIC = b"CXGC"
-CACHE_VERSION = 2
+# version 3 marks the payload above the mirror line as w0 order; version 2
+# files, in either order, give the same classes and still load
+CACHE_VERSION = 3
 _CACHE_BLOCK = 4096  # elements hashed and written per join
 
 
@@ -132,11 +139,12 @@ class Group:
         representative: orbits under conjugation by the certified walk set,
         by least element in the full BFS numbering.  Ids below the mirror
         line (length <= floor(N/2)) are BFS ids; classes with none follow,
-        ranked by _bfs_key."""
+        ranked by _bfs_key.  Classes are walked modulo the certified
+        centre: each z C, z central, is taken whole from C."""
         walk = self.walk_set()
         _certify_walk_set(walk, [self.perms[i] for i in self.generator_ids])
         found = orbits(self.perms, self.index, [_walker(g) for g in walk],
-                       _conjugate)
+                       _conjugate, [_table(z) for z in self.center()[1:]])
         line = sum(_poincare(self.system)[:len(self.system.roots) // 4 + 1])
         ranked = sorted(_bfs_key(self, m) for m in found if m[0] >= line)
         return ([m for m in found if m[0] < line]
@@ -156,6 +164,29 @@ class Group:
             if s not in _reach(walk, simple):
                 walk.append(s)
         return walk if len(walk) < len(simple) else simple
+
+    def center(self) -> list:
+        """The centre of W, identity first: the products of the factor
+        negations (-1 on one factor's roots, every other root fixed) that
+        lie in the group, each certified to commute with every simple
+        reflection, so with W: then it maps each class onto a class."""
+        system, start = self.system, 0
+        identity = bytes(range(len(system.roots)))
+        center = [identity]
+        for f in system.factors:
+            end = start + f.root_count
+            z = identity[:start] + system.negation[start:end] + identity[end:]
+            if start < end:
+                center += [p for p in (_compose(z, c) for c in center)
+                           if p in self.index]
+            start = end
+        for z in center[1:]:
+            if any(_compose(z, self.perms[i]) != _compose(self.perms[i], z)
+                   for i in self.generator_ids):
+                raise CertificateError(f"the centre candidate {list(z)} does "
+                                       "not commute with every simple "
+                                       "reflection")
+        return center
 
 
 def _table(p: bytes) -> bytes:
@@ -203,12 +234,22 @@ def _length(system, w: bytes) -> int:
 def _bfs_key(group: Group, members) -> tuple:
     """((length, word), id, members) of the member the full BFS finds
     first: least length, then least lex-first reduced word of w^-1 (the
-    BFS reads its frontier in id order and tries s_0, s_1, ... in turn)."""
+    BFS reads its frontier in id order and tries s_0, s_1, ... in turn).
+    The least-length members descend together as _descend does, and only
+    those taking the least letter go on."""
     system, perms = group.system, group.perms
+    positive, simple = system.positive, system.simple_root_indices
     lengths = {i: _length(system, perms[i]) for i in members}
     least = min(lengths.values())
-    return min(((least, _descend(system, perms[i])[1]), i, members)
-               for i in members if lengths[i] == least)
+    alive, word = {i: perms[i] for i in members if lengths[i] == least}, ()
+    for _ in range(least):
+        first = {i: next(k for k, a in enumerate(simple) if not positive[w[a]])
+                 for i, w in alive.items()}
+        k = min(first.values())
+        alive = {i: _compose(w, system.simple_reflections[k])
+                 for i, w in alive.items() if first[i] == k}
+        word += (k,)
+    return (least, word), min(alive), members
 
 
 def _reach(walk, simple) -> dict:
@@ -315,13 +356,12 @@ def _poincare(system: RootSystem) -> list:
     return coefficients
 
 
-def contains_minus_identity(group: Group) -> bool:
-    """Whether -identity (on the full ambient space) lies in the group."""
-    system = group.system
-    neg = bytes(system.root_index[tuple(map(system.ring.neg, r))]
-                for r in system.roots)
+def contains_minus_identity(system: RootSystem) -> bool:
+    """Whether -identity (on the full ambient space) lies in W, with no
+    enumeration: exactly when w0 = -1, as w0 is the one element sending
+    every positive root to a negative root (Humphreys 1.8)."""
     # directions with no roots are fixed pointwise by every element
-    return system.trivial_dims == 0 and neg in group.index
+    return system.trivial_dims == 0 and longest_element(system) == system.negation
 
 
 # -- shared in-process cache ----------------------------------------------------
@@ -385,9 +425,9 @@ def load_group(path) -> Group:
         magic, version, width, label_len = struct.unpack_from("<4sBBH", blob, 0)
         if magic != _CACHE_MAGIC:
             raise CacheFormatError(f"{path} is not a group cache file")
-        if version != CACHE_VERSION:
-            raise CacheFormatError(
-                f"{path} has cache version {version}, expected {CACHE_VERSION}")
+        if version not in (2, CACHE_VERSION):
+            raise CacheFormatError(f"{path} has cache version {version}, "
+                                   "expected 2 or 3")
         if width != 1:
             raise CacheFormatError(
                 f"{path} stores {width} bytes per root, expected 1")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .linalg import CertificateError
 from .roots import Factor, orbits
 
 
@@ -23,10 +24,12 @@ class TraceCount:
     method: str
 
     def __post_init__(self):
+        # the ordering theorem: a count that breaks it is a failed check
         if self.supertraces < 1:
-            raise ValueError(f"supertrace count must be positive, got {self}")
+            raise CertificateError(f"supertrace count must be positive, "
+                                   f"got {self}")
         if not 0 <= self.traces <= self.supertraces:
-            raise ValueError(f"trace count out of range in {self}")
+            raise CertificateError(f"trace count out of range in {self}")
 
     def __mul__(self, other):
         if not isinstance(other, TraceCount):

@@ -275,9 +275,12 @@ def closure(seeds, gens, act, depth=None):
     return elements, index, layers
 
 
-def orbits(elements, index, gens, act):
+def orbits(elements, index, gens, act, shifts=()):
     """Orbits of the bijections x -> act(x, g), as id lists ordered by
-    least id, each starting with its least id."""
+    least id, each starting with its least id.  Each shift is a translate
+    table of a bijection that commutes with every act(., g) (a central
+    element, for conjugation): it maps a walked orbit onto an orbit, which
+    is then taken whole, with no act call."""
     visited = bytearray(len(elements))
     out = []
     for seed in range(len(elements)):
@@ -295,7 +298,14 @@ def orbits(elements, index, gens, act):
                     members.append(y)
                     stack.append(y)
         out.append(members)
-    return out
+        for table in shifts:
+            if visited[index[elements[seed].translate(table)]]:
+                continue  # the orbit itself, or one taken already
+            image = sorted(index[elements[i].translate(table)] for i in members)
+            for y in image:
+                visited[y] = 1
+            out.append(image)
+    return sorted(out)  # by least id, the first of each
 
 
 # -- the system object ----------------------------------------------------------
@@ -319,6 +329,7 @@ class RootSystem:
         self._simple = None
         self._reflections = None
         self._positive = None
+        self._negation = None
 
     @property
     def label(self) -> str:
@@ -372,6 +383,14 @@ class RootSystem:
                                 lambda r, g: r if r == g[1] else g[0][r])[0])
             self._positive = bytes(r in found for r in range(len(self.roots)))
         return self._positive
+
+    @property
+    def negation(self) -> bytes:
+        """Root permutation of -1: each root to its negative."""
+        if self._negation is None:
+            neg, index = self.ring.neg, self.root_index
+            self._negation = bytes(index[tuple(map(neg, r))] for r in self.roots)
+        return self._negation
 
     def __repr__(self):
         return f"RootSystem({self.label}, {len(self.roots)} roots, rank {self.rank})"

@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 
 from .classes import count, count_brute_force, verify_inequality_theorem
 from .group import DEFAULT_BUDGET, generate_group, shared_group
+from .linalg import CertificateError
 from .models import h3_charpoly_table_check, h4_class_census
 from .partitions import dihedral_classes, lemma_identity_check
-from .roots import Factor, build_system, parse_factor, system_from_spec
+from .roots import (Factor, build_system, parse_factor, system_from_spec,
+                    system_label)
 
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 50
@@ -43,6 +45,15 @@ class SuiteResult:
     def add(self, name: str, ok: bool, detail: str = ""):
         self.lines.append(CheckLine(name, ok, detail))
 
+    def add_checked(self, name: str, check):
+        """Add the (ok, detail) of check(); a failed certificate inside it,
+        such as a count that breaks the ordering theorem, is a FAIL line."""
+        try:
+            ok, detail = check()
+        except CertificateError as exc:
+            ok, detail = False, f"error: {exc}"
+        self.add(name, ok, detail)
+
 
 def _factor_pool(max_param: int = 12):
     pool = [Factor("A", n) for n in range(0, max_param + 1)]
@@ -60,21 +71,25 @@ def random_composite_factors(rng: random.Random, max_factors: int = 5,
     return tuple(rng.choice(pool) for _ in range(rng.randint(1, max_factors)))
 
 
-def inequality_suite(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-                     budget: int = DEFAULT_BUDGET, heavy: bool = False) -> SuiteResult:
-    """The ordering theorem on seeded random composite systems; only the
-    factors small enough to enumerate get roots."""
+def inequality_suite(trials: int = DEFAULT_TRIALS,
+                     seed: int = DEFAULT_SEED) -> SuiteResult:
+    """The ordering theorem on seeded random composite systems; every
+    factor within the root and ring limits gets roots and a w0."""
     rng = random.Random(seed)
     result = SuiteResult()
     for _ in range(trials):
         factors = random_composite_factors(rng)
-        verdict = verify_inequality_theorem(factors, budget=budget, heavy=heavy)
-        engine = sum(1 for f in verdict.factor_results if f.method == "engine")
-        detail = (f"T={verdict.traces} S={verdict.supertraces} "
-                  f"-I={'yes' if verdict.minus_identity else 'no'} "
-                  f"engine-checked {engine}/{len(verdict.factor_results)}")
-        result.add(f"ordering theorem on {verdict.label}", verdict.ok, detail)
+        result.add_checked(f"ordering theorem on {system_label(factors)}",
+                           lambda: _ordering_check(factors))
     return result
+
+
+def _ordering_check(factors) -> tuple:
+    verdict = verify_inequality_theorem(factors)
+    engine = sum(1 for f in verdict.factor_results if f.method == "engine")
+    return verdict.ok, (f"T={verdict.traces} S={verdict.supertraces} "
+                        f"-I={'yes' if verdict.minus_identity else 'no'} "
+                        f"engine-checked {engine}/{len(verdict.factor_results)}")
 
 
 _SMALL_POOL = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5",
@@ -95,11 +110,13 @@ def multiplicativity_suite(pairs: int = 25, seed: int = DEFAULT_SEED,
             continue
         done += 1
         combined = build_system((first, second))
-        brute = count_brute_force(generate_group(combined, budget=budget))
-        product = count([first]) * count([second])
-        ok = brute.pair() == product.pair()
-        result.add(f"multiplicativity on {combined.label}", ok,
-                   f"brute {brute.pair()} vs product {product.pair()}")
+
+        def check():
+            brute = count_brute_force(generate_group(combined, budget=budget))
+            product = count([first]) * count([second])
+            return (brute.pair() == product.pair(),
+                    f"brute {brute.pair()} vs product {product.pair()}")
+        result.add_checked(f"multiplicativity on {combined.label}", check)
     return result
 
 

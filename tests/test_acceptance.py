@@ -61,7 +61,7 @@ def test_criterion_1_heavy_e7_enumeration():
     with criterion("1-heavy", "E7 enumerated"):
         group = generate_group(system_from_spec("E7"), heavy=True)
         assert count_brute_force(group).pair() == (12, 12)
-        assert contains_minus_identity(group)
+        assert contains_minus_identity(group.system)
 
 
 def test_criterion_2_closed_equals_brute():

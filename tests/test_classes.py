@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from coxtraces import classes as classes_module
+from coxtraces import group as group_module
 from coxtraces.classes import (conjugacy_classes, count, count_brute_force,
                                verify_inequality_theorem)
 from coxtraces.group import GroupElement, generate_group, shared_group
@@ -189,12 +190,18 @@ def test_theorem_verdict_on_strict_inequality():
     assert not verdict.minus_identity
 
 
-def test_theorem_verdict_uses_table_beyond_the_allowance():
-    verdict = verify_inequality_theorem("E7+I2(9)")
+def test_theorem_verdict_checks_w0_past_the_enumeration_allowance(
+        monkeypatch):
+    # -I is found from w0 alone, so E7 and E8 (orders past the heavy
+    # threshold and the budget) are engine-checked without a group
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
+    monkeypatch.setattr(group_module, "closure", refuse)
+    verdict = verify_inequality_theorem("E7+I2(9)+E8+A9")
     assert verdict.ok
-    methods = {f.label: f.method for f in verdict.factor_results}
-    assert methods["E7"] == "table"    # order 2,903,040 is past the allowance
-    assert methods["I2(9)"] == "engine"  # every dihedral has a Cartan matrix
+    assert [(f.label, f.method, f.present) for f in verdict.factor_results] \
+        == [("E7", "engine", True), ("I2(9)", "engine", False),
+            ("E8", "engine", True), ("A9", "engine", False)]
 
 
 def test_theorem_verdict_uses_table_past_the_root_limit():

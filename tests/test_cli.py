@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coxtraces import classes, cli, group, roots
+from coxtraces import classes, cli, group, partitions, roots
 from coxtraces.classes import count
 from coxtraces.cli import main
 
@@ -264,6 +264,24 @@ def test_verify_theorems_scope_small(capsys):
     assert out.count("PASS") == len(out.strip().splitlines())
 
 
+def test_an_ordering_theorem_violation_is_a_failed_check(capsys,
+                                                        monkeypatch):
+    # a factor formula that gives T > S: count prints one error line and
+    # no count, verify theorems a FAIL line per check, and both exit 1
+    monkeypatch.setattr(classes, "closed_form_count", lambda factor:
+                        partitions.TraceCount(factor.rank + 1, factor.rank,
+                                              "closed_form"))
+    code, out, err = _run(capsys, "count", "E6")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "trace count out of range" in err
+    code, out, err = _run(capsys, "verify", "theorems", "--trials", "3")
+    lines = out.splitlines()
+    assert code == 1 and "Traceback" not in err
+    assert len(lines) == 3 + 25 and all(l.startswith("FAIL  ") for l in lines)
+    assert "ordering theorem on" in lines[0] and "out of range" in lines[0]
+
+
 def test_cache_warm_list_count_clear(capsys, tmp_path):
     cache = str(tmp_path / "groups")
     code, out, _ = _run(capsys, "cache", "warm", "F4", "--cache-dir", cache)
@@ -272,7 +290,7 @@ def test_cache_warm_list_count_clear(capsys, tmp_path):
 
     code, out, _ = _run(capsys, "cache", "list", "--cache-dir", cache)
     assert code == 0
-    assert "F4  order=1152" in out and "version=2" in out
+    assert "F4  order=1152" in out and "version=3" in out
 
     code, out, _ = _run(capsys, "count", "F4", "--strategy", "brute",
                         "--cache-dir", cache, "--format", "json")

@@ -291,17 +291,24 @@ def test_matrices_preserve_the_gram_form():
 
 
 def test_minus_identity_detection_matches_classification():
+    # the w0 test against the degrees and against membership of -1 in the
+    # enumerated group
     for label in ("A1", "A2", "B2", "B3", "D4", "D5", "G2", "F4", "H3",
-                  "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(15)+I2(12)"):
+                  "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(15)+I2(12)",
+                  "A1+A0"):
         system = system_from_spec(label)
         group = shared_group(system)
         expected = all(f.contains_minus_identity for f in system.factors)
-        assert contains_minus_identity(group) == expected, label
+        assert contains_minus_identity(system) == expected, label
+        in_group = system.trivial_dims == 0 and system.negation in group.index
+        assert in_group == expected, label
 
 
 def test_minus_identity_gone_once_a_fixed_line_exists():
-    group = generate_group(system_from_spec("A1+A0"))
-    assert not contains_minus_identity(group)
+    system = system_from_spec("A1+A0")
+    assert not contains_minus_identity(system)
+    # the roots alone cannot see the fixed line: -1 on them is in W
+    assert system.negation in generate_group(system).index
 
 
 def test_determinant_tracks_word_parity():
@@ -323,7 +330,8 @@ def _simple_reflection_walk(group):
 
 @pytest.mark.parametrize("label", ["A0", "A0+A3", "B2", "G2", "I2(8)",
                                    "I2(127)", "B5+A3", "A1+H4", "E6", "F4",
-                                   "H3+I2(7)"])
+                                   "H3+I2(7)", "D6", "A1+B5", "A1+A1+A1",
+                                   "B2+I2(12)", "I2(9)+I2(12)"])
 def test_class_walk_equals_the_simple_reflection_walk(label):
     group = shared_group(system_from_spec(label))
     walk = group.class_orbits()
@@ -336,6 +344,52 @@ def test_class_walk_equals_the_simple_reflection_walk(label):
     least = [min(full_index[group.perms[i]] for i in m) for m in walk]
     assert [full_index[group.perms[m[0]]] for m in walk] == least
     assert least == sorted(least)
+
+
+@pytest.mark.parametrize("label", ["A8", "D5+I2(3)", "D6", "A1+B5",
+                                   "A1+A1+A1", "B2+I2(12)", "I2(9)+I2(12)",
+                                   "A1+H4", "B2+I2(5)+A0", "A0"])
+def test_center_has_one_sign_per_factor_with_minus_one(label):
+    group = shared_group(system_from_spec(label))
+    center = group.center()
+    with_minus_one = sum(f.contains_minus_identity for f in group.system.factors)
+    assert len(center) == len(set(center)) == 2 ** with_minus_one, label
+    assert center[0] == group.perms[0]
+    for z in center:
+        assert z in group.index
+        assert all(_compose(z, x) == _compose(x, z) for x in group.perms[:50])
+
+
+def test_a_non_central_shift_fails_the_centre_certificate(monkeypatch):
+    # a simple reflection of B3 lies in W but is not central
+    group = generate_group(system_from_spec("B3"))
+    s0 = group.system.simple_reflections[0]
+    monkeypatch.setattr(roots.RootSystem, "negation", property(
+        lambda self: s0))
+    with pytest.raises(CertificateError, match="does not commute"):
+        group.center()
+    with pytest.raises(CertificateError, match="does not commute"):
+        group.class_orbits()
+
+
+def _descend_key(group, members):
+    """The ranking before the pruned descent: a full _descend per
+    least-length member."""
+    system, perms = group.system, group.perms
+    lengths = {i: group_module._length(system, perms[i]) for i in members}
+    least = min(lengths.values())
+    return min(((least, _descend(system, perms[i])[1]), i, members)
+               for i in members if lengths[i] == least)
+
+
+@pytest.mark.parametrize("label", ["D7", "A1+H4", "F4+I2(3)"])
+def test_pruned_bfs_key_is_the_per_member_descent_key(label):
+    group = shared_group(system_from_spec(label))
+    found = orbits(group.perms, group.index,
+                   [_walker(g) for g in group.walk_set()], _conjugate)
+    for members in found:
+        assert group_module._bfs_key(group, members) == \
+            _descend_key(group, members), (label, members[0])
 
 
 @pytest.mark.parametrize("label, size", [("A0", 0), ("A1", 1), ("B2", 2),
@@ -402,7 +456,7 @@ def test_cache_blocks_leave_the_file_bytes_as_they_were(tmp_path,
     assert group.order > group_module._CACHE_BLOCK
     label, ids = b"A6", group.generator_ids
     payload = b"".join(group.perms)
-    expected = (struct.pack("<4sBBH", b"CXGC", 2, 1, len(label)) + label
+    expected = (struct.pack("<4sBBH", b"CXGC", 3, 1, len(label)) + label
                 + struct.pack("<IQH", 42, group.order, len(ids))
                 + struct.pack(f"<{len(ids)}I", *ids)
                 + hashlib.sha256(payload).digest() + payload)
@@ -481,6 +535,19 @@ def test_cache_written_by_version_1_is_refused(tmp_path):
     path.write_bytes(_A2_CACHE_V1)
     with pytest.raises(CacheFormatError, match="version 1, expected 2"):
         load_group(path)
+
+
+def test_a_fresh_cache_file_carries_version_3(tmp_path):
+    # version 3 marks the w0-mirror order above the mirror line, so that
+    # a reader of version 2 only refuses such a file
+    path = tmp_path / "b3.grp"
+    save_group(generate_group(system_from_spec("B3")), path)
+    raw = path.read_bytes()
+    assert raw[:4] == b"CXGC" and raw[4] == 3
+    # the same payload under a version 2 header loads as well
+    path.write_bytes(raw[:4] + b"\x02" + raw[5:])
+    assert load_group(path).perms == generate_group(
+        system_from_spec("B3")).perms
 
 
 def test_shared_group_memoizes():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coxtraces.linalg import CertificateError
 from coxtraces.partitions import (DihedralClassSummary, TraceCount,
                                   _coefficient, closed_form_count,
                                   dihedral_classes, dihedral_element_flags,
@@ -100,11 +101,12 @@ def test_parity_difference_signs():
 
 
 def test_trace_count_validation():
-    with pytest.raises(ValueError):
+    # a count that breaks the ordering theorem is a failed certificate
+    with pytest.raises(CertificateError):
         TraceCount(2, 1, "closed_form")      # traces above supertraces
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError):
         TraceCount(0, 0, "closed_form")      # supertraces always positive
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError):
         TraceCount(-1, 1, "closed_form")
 
 
