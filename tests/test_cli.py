@@ -223,6 +223,14 @@ def test_verify_output_matches_golden_text(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("spec", ["A1999", "A2000", "B2000", "D2000", "D2001"])
+def test_large_rank_count_matches_golden_json(capsys, spec):
+    # partition numbers past 10^40, and the parity split of D at odd rank
+    code, out, _ = _run(capsys, "count", spec, "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / f"count_{spec}.json").read_text()
+
+
 def test_table_json_fixture(capsys):
     code, out, _ = _run(capsys, "table", "all", "--format", "json")
     assert code == 0
