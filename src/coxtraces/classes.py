@@ -14,14 +14,14 @@ compares the equality case T = S against actual -identity membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul
 
 from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
                     check_enumerable, contains_minus_identity, generate_group)
 from .linalg import CertificateError, charpoly_from_traces, poly_str
 from .partitions import TraceCount, closed_form_count
-from .roots import (RootSystem, build_irreducible, build_system,
+from .roots import (Factor, RootSystem, build_irreducible, build_system,
                     parse_system_spec, system_label)
 
 
@@ -177,6 +177,13 @@ class InequalityVerdict:
         return self.s_positive and self.t_le_s and self.equality_iff_minus_identity
 
 
+@lru_cache(maxsize=None)
+def _factor_contains_minus_identity(factor: Factor) -> bool:
+    """contains_minus_identity on the factor's own roots, built once per
+    factor: random suites draw the same factors again and again."""
+    return contains_minus_identity(build_irreducible(factor))
+
+
 def verify_inequality_theorem(system_or_spec) -> InequalityVerdict:
     """Check S > 0, T <= S, and T = S exactly when -identity is in the group.
 
@@ -195,7 +202,7 @@ def verify_inequality_theorem(system_or_spec) -> InequalityVerdict:
         except BudgetExceededError:
             present, method = factor.contains_minus_identity, "table"
         else:
-            present = contains_minus_identity(build_irreducible(factor))
+            present = _factor_contains_minus_identity(factor)
             method = "engine"
         factor_results.append(FactorMinusIdentity(factor.label, method,
                                                   present))

@@ -325,31 +325,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count traces and supertraces over finite reflection groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_strategy=False):
+    def common(p, enumerates=False):
         p.add_argument("--format", choices=("markdown", "csv", "json"),
                        default="markdown")
         p.add_argument("--budget", type=int, default=None,
                        help=f"enumeration budget (default {DEFAULT_BUDGET:,}, "
                             f"or {ENV_BUDGET})")
-        p.add_argument("--cache-dir", default=None,
-                       help=f"group cache directory (or {ENV_CACHE_DIR})")
-        p.add_argument("--heavy", action="store_true",
-                       help="allow enumerations past the heavy threshold")
-        p.add_argument("--unsupported-e8-enumeration", action="store_true",
-                       help=argparse.SUPPRESS)
-        if with_strategy:
-            p.add_argument("--strategy", choices=("auto", "closed", "brute"),
-                           default="auto")
+        if enumerates:  # only count, classes and cache read these
+            p.add_argument("--cache-dir", default=None,
+                           help=f"group cache directory (or {ENV_CACHE_DIR})")
+            p.add_argument("--heavy", action="store_true",
+                           help="allow enumerations past the heavy threshold")
+            p.add_argument("--unsupported-e8-enumeration", action="store_true",
+                           help=argparse.SUPPRESS)
 
     p_count = sub.add_parser("count", help="trace/supertrace counts for a system")
     p_count.add_argument("system", help="e.g. 'B4+D5+I2(7)+A0'")
-    common(p_count, with_strategy=True)
+    common(p_count, enumerates=True)
+    p_count.add_argument("--strategy", choices=("auto", "closed", "brute"),
+                         default="auto")
     p_count.set_defaults(func=cmd_count)
 
     p_classes = sub.add_parser("classes",
                                help="conjugacy class report for a system")
     p_classes.add_argument("system")
-    common(p_classes)
+    common(p_classes, enumerates=True)
     p_classes.set_defaults(func=cmd_classes)
 
     p_table = sub.add_parser("table",
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache", help="manage the on-disk group cache")
     p_cache.add_argument("action", choices=("list", "clear", "warm"))
     p_cache.add_argument("system", nargs="?")
-    common(p_cache)
+    common(p_cache, enumerates=True)
     p_cache.set_defaults(func=cmd_cache)
 
     return parser

@@ -1,8 +1,20 @@
 """Partition combinatorics behind the closed-form class counts.
 
-Implements the partition enumerators (counts by parity of the number of
-summands, odd-part partitions, distinct-odd-part partitions), the
-generating-function identity relating them, and the dihedral class
+Every closed A, B and D count is read off one table of p(n), grown in
+place by Euler's pentagonal recurrence in O(n sqrt n) (Andrews, The
+Theory of Partitions, 1976), with one sum over the O(sqrt n)
+generalised pentagonal numbers g = k(3k-1)/2, k in Z, sign (-1)^k:
+
+  p(n) = -sum_{g > 0} (-1)^k p(n - g)          phi(x) P(x) = 1
+  Q(n) = sum (-1)^k p(n - 2g)                   odd parts: phi(x^2) P(x)
+  d(n) = sum (-1)^k p((n - g)/2), n - g even    1/prod(1 + x^k) = phi(x) P(x^2)
+
+d(n) = E(n) - O(n) splits p(n) by the parity of the number of summands,
+and is certified against Gauss's sum_k (-1)^k x^(k^2) = phi(x)^2 /
+phi(x^2): q(n) = sum_k (-1)^k p(n - 2k^2) counts the partitions into
+distinct odd summands, and d(n) = (-1)^n q(n) must hold.  The generating
+-function identity check keeps its own O(n^2) routes, the parity DP and
+the odd-part product, apart from the p table.  Also the dihedral class
 structure.  All of it is exact integer arithmetic.
 """
 
@@ -10,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 
 from .linalg import CertificateError
 from .roots import Factor, orbits
@@ -64,14 +77,52 @@ def _coefficient(n: int, step: int = 1, distinct: bool = False) -> int:
     return _series(max(n, 1), step, distinct)[n]
 
 
+def _pentagonal(limit: int):
+    """(sign, g) for the generalised pentagonal numbers g = k(3k-1)/2 <= limit,
+    k = 0, 1, -1, 2, -2, ..., with sign (-1)^k, in increasing order."""
+    terms, k = [(1, 0)], 1
+    while k * (3 * k - 1) // 2 <= limit:
+        sign, g = (-1) ** k, k * (3 * k - 1) // 2
+        terms += [(sign, g)] + ([(sign, g + k)] if g + k <= limit else [])
+        k += 1
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _p_table():
+    """The one list p(0), p(1), ... behind every closed count; _p_upto
+    grows it in place, and cache_clear starts it afresh."""
+    return [1]
+
+
+def _p_upto(n: int):
+    """The p table, grown in place to hold p(n)."""
+    if n < 0:
+        raise ValueError("partition count of a negative integer")
+    p = _p_table()
+    terms = _pentagonal(n)[1:] if len(p) <= n else ()
+    for m in range(len(p), n + 1):
+        total = 0
+        for sign, g in terms:
+            if g > m:
+                break
+            if sign < 0:
+                total += p[m - g]
+            else:
+                total -= p[m - g]
+        p.append(total)
+    return p
+
+
 def partition_count(n: int) -> int:
     """p(n), the number of partitions of n."""
-    return _coefficient(n)
+    return _p_upto(n)[n]
 
 
 def partitions_odd_parts(n: int) -> int:
     """Number of partitions of n into odd summands."""
-    return _coefficient(n, step=2)
+    p = _p_upto(n)
+    return sum(sign * p[n - 2 * g] for sign, g in _pentagonal(n // 2))
 
 
 def distinct_odd_partitions(n: int) -> int:
@@ -92,14 +143,28 @@ def _parity_difference_table(n_max: int):
     return tuple(diff)
 
 
+def _parity_difference(n: int) -> int:
+    """d(n) = E(n) - O(n) from the p table, certified against (-1)^n q(n)."""
+    p = _p_upto(n)
+    d = sum(sign * p[(n - g) // 2] for sign, g in _pentagonal(n)
+            if (n - g) % 2 == 0)
+    q = p[n] + 2 * sum((-1) ** k * p[n - 2 * k * k]
+                       for k in range(1, isqrt(n // 2) + 1))
+    if d != (-1) ** n * q:
+        raise CertificateError(
+            f"parity split of p({n}) fails its certificate: E - O = {d}, "
+            f"but (-1)^n q(n) = {(-1) ** n * q}")
+    return d
+
+
 def partitions_even_summand_count(n: int) -> int:
     """Partitions of n with an even number of summands."""
-    return (partition_count(n) + _parity_difference_table(max(n, 1))[n]) // 2
+    return (partition_count(n) + _parity_difference(n)) // 2
 
 
 def partitions_odd_summand_count(n: int) -> int:
     """Partitions of n with an odd number of summands."""
-    return (partition_count(n) - _parity_difference_table(max(n, 1))[n]) // 2
+    return (partition_count(n) - _parity_difference(n)) // 2
 
 
 def summand_count_table(n_max: int):

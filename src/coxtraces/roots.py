@@ -121,8 +121,13 @@ class Factor:
 _FACTOR_RE = re.compile(r"^(A|B|C|D|E|F|G|H)(\d+)$|^I2\((\d+)\)$")
 
 
+# the highest classical rank: `count` of any one A, B or D factor up to
+# it takes about 1 s, half of it printing |W| (quadratic in its digits)
+MAX_CLASSICAL_RANK = 20000
+
 # the ranks each family accepts, as (lowest, highest or None)
-_RANKS = {"A": (0, None), "B": (2, None), "C": (2, None), "D": (2, None),
+_RANKS = {"A": (0, MAX_CLASSICAL_RANK), "B": (2, MAX_CLASSICAL_RANK),
+          "C": (2, MAX_CLASSICAL_RANK), "D": (2, MAX_CLASSICAL_RANK),
           "E": (6, 8), "F": (4, 4), "G": (2, 2), "H": (3, 4), "I": (3, None)}
 
 

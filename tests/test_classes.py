@@ -197,11 +197,23 @@ def test_theorem_verdict_checks_w0_past_the_enumeration_allowance(
     def refuse(*args, **kwargs):
         raise AssertionError("a group was enumerated")
     monkeypatch.setattr(group_module, "closure", refuse)
+    classes_module._factor_contains_minus_identity.cache_clear()
     verdict = verify_inequality_theorem("E7+I2(9)+E8+A9")
     assert verdict.ok
     assert [(f.label, f.method, f.present) for f in verdict.factor_results] \
         == [("E7", "engine", True), ("I2(9)", "engine", False),
             ("E8", "engine", True), ("A9", "engine", False)]
+
+
+def test_theorem_verdict_builds_each_factor_once(monkeypatch):
+    classes_module._factor_contains_minus_identity.cache_clear()
+    built = []
+    build = classes_module.build_irreducible
+    monkeypatch.setattr(classes_module, "build_irreducible",
+                        lambda factor: built.append(factor) or build(factor))
+    for spec in ("B3+A2+B3", "A2+E6", "B3"):
+        assert verify_inequality_theorem(spec).ok
+    assert sorted(f.label for f in built) == ["A2", "B3", "E6"]
 
 
 def test_theorem_verdict_uses_table_past_the_root_limit():

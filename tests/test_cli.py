@@ -231,6 +231,35 @@ def test_large_rank_count_matches_golden_json(capsys, spec):
     assert out == (GOLDEN / f"count_{spec}.json").read_text()
 
 
+@pytest.mark.parametrize("spec", ["A20001", "B20001", "C20001", "D20001",
+                                  "B4+D30000"])
+def test_classical_rank_past_the_bound_is_a_usage_error(capsys, spec):
+    code, out, err = _run(capsys, "count", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "20000" in err
+
+
+def test_corrupted_p_table_is_a_failed_certificate(capsys, monkeypatch):
+    table = list(partitions._p_upto(40))
+    table[40] += 1
+    monkeypatch.setattr(partitions, "_p_table", lambda: table)
+    code, out, err = _run(capsys, "count", "D40")
+    assert code == 1 and out == ""
+    assert err.startswith("error: parity split of p(40)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "theorems", "--heavy"),
+    ("verify", "lemma", "--unsupported-e8-enumeration"),
+    ("table", "all", "--cache-dir", "groups"),
+])
+def test_enumeration_options_only_on_enumerating_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_table_json_fixture(capsys):
     code, out, _ = _run(capsys, "table", "all", "--format", "json")
     assert code == 0

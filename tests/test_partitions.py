@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coxtraces import partitions
 from coxtraces.linalg import CertificateError
 from coxtraces.partitions import (DihedralClassSummary, TraceCount,
-                                  _coefficient, closed_form_count,
+                                  _coefficient, _parity_difference_table,
+                                  _series, closed_form_count,
                                   dihedral_classes, dihedral_element_flags,
                                   dihedral_mul, distinct_odd_partitions,
                                   lemma_identity_check, partition_count,
@@ -83,6 +85,43 @@ def test_summand_parity_split_is_exhaustive():
         even = partitions_even_summand_count(n)
         odd = partitions_odd_summand_count(n)
         assert even + odd == partition_count(n)
+
+
+def test_pentagonal_table_matches_the_dp_routes_to_2000():
+    n_max = 2000
+    plain, odd = _series(n_max, 1, False), _series(n_max, 2, False)
+    diff = _parity_difference_table(n_max)
+    for n in range(n_max + 1):
+        assert partition_count(n) == plain[n], n
+        assert partitions_odd_parts(n) == odd[n], n
+        even = partitions_even_summand_count(n)
+        assert (even, partitions_odd_summand_count(n)) == \
+            ((plain[n] + diff[n]) // 2, (plain[n] - diff[n]) // 2), n
+
+
+def test_p_table_grown_rank_by_rank_equals_one_built_at_once():
+    partitions._p_table.cache_clear()
+    for n in range(700):
+        partition_count(n)
+    stepwise = list(partitions._p_table())
+    partitions._p_table.cache_clear()
+    partitions_odd_summand_count(350)   # grow in two uneven steps
+    partitions_odd_parts(699)
+    assert partitions._p_table() == stepwise
+    partitions._p_table.cache_clear()
+    assert len(partitions._p_table()) == 1
+
+
+@pytest.mark.parametrize("corrupt", [300, 150, 100])
+def test_corrupted_p_entry_fails_the_d_certificate(monkeypatch, corrupt):
+    # p(300) is read by q(300) only, p(150) by d(300) only, p(100) by both
+    table = list(partitions._p_upto(300))
+    table[corrupt] += 1
+    monkeypatch.setattr(partitions, "_p_table", lambda: table)
+    with pytest.raises(CertificateError, match=r"parity split of p\(300\)"):
+        partitions.partitions_even_summand_count(300)
+    with pytest.raises(CertificateError):
+        closed_form_count(parse_factor("D300"))
 
 
 def test_lemma_identity():

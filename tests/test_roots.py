@@ -160,11 +160,12 @@ def test_parse_factor_families():
     assert parse_factor("C5") == Factor("B", 5)   # same group, one name
     assert parse_factor("I2(7)") == Factor("I", 7)
     assert parse_factor("E8").label == "E8"
+    assert parse_factor("D20000") == Factor("D", 20000)   # the rank bound
 
 
 def test_parse_rejects_bad_tokens():
     for bad in ("Z9", "A-1", "B1", "D1", "E5", "E9", "F5", "G3", "H5",
-                "I2(2)", "I2(x)", "A", "", "B2 D3"):
+                "I2(2)", "I2(x)", "A", "", "B2 D3", "A20001", "C20001"):
         with pytest.raises(SpecParseError):
             parse_factor(bad)
 
