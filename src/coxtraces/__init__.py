@@ -27,9 +27,6 @@ from .partitions import (DihedralClassSummary, LemmaVerdict, TraceCount,
 from .classes import (ConjugacyClass, FactorMinusIdentity, InequalityVerdict,
                       conjugacy_classes, count, count_brute_force,
                       verify_inequality_theorem)
-from .models import (H3Generators, H3TableVerdict, H4CensusVerdict,
-                     build_h3_generators, h3_charpoly_table_check,
-                     h4_class_census)
 
 __version__ = "0.1.0"
 
@@ -49,6 +46,4 @@ __all__ = [
     "ConjugacyClass", "FactorMinusIdentity", "InequalityVerdict",
     "conjugacy_classes", "count", "count_brute_force",
     "verify_inequality_theorem",
-    "H3Generators", "H3TableVerdict", "H4CensusVerdict",
-    "build_h3_generators", "h3_charpoly_table_check", "h4_class_census",
 ]

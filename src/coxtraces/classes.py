@@ -13,7 +13,7 @@ compares the equality case T = S against actual -identity membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, reduce
 from operator import add, mul
 
@@ -25,18 +25,14 @@ from .roots import (Factor, RootSystem, build_irreducible, build_system,
                     parse_system_spec, system_label)
 
 
-@dataclass
-class ConjugacyClass:
+class ConjugacyClass(namedtuple(
+        "ConjugacyClass", "representative size det char_poly has_plus_one "
+                          "has_minus_one")):
     """One conjugacy class: its representative (Group.class_orbits) plus
     invariants.  The charpoly coefficients are elements of the system's
     ring, and the determinant is the int +1 or -1."""
 
-    representative: GroupElement
-    size: int
-    det: int
-    char_poly: tuple
-    has_plus_one: bool
-    has_minus_one: bool
+    __slots__ = ()
 
     @property
     def char_poly_str(self) -> str:
@@ -154,23 +150,15 @@ def count(system_or_spec, strategy: str = "auto",
     return result
 
 
-@dataclass
-class FactorMinusIdentity:
-    label: str
-    method: str            # 'engine' or 'table'
-    present: bool
+# method is 'engine' or 'table'
+FactorMinusIdentity = namedtuple("FactorMinusIdentity", "label method present")
 
 
-@dataclass
-class InequalityVerdict:
-    label: str
-    traces: int
-    supertraces: int
-    minus_identity: bool
-    factor_results: list
-    s_positive: bool
-    t_le_s: bool
-    equality_iff_minus_identity: bool
+class InequalityVerdict(namedtuple(
+        "InequalityVerdict", "label traces supertraces minus_identity "
+                             "factor_results s_positive t_le_s "
+                             "equality_iff_minus_identity")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -13,13 +13,10 @@ and Ring.as_json, which depend only on the system's ring index N.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .classes import conjugacy_classes, count, count_brute_force
 from .group import (DEFAULT_BUDGET, BudgetExceededError, CacheFormatError,
@@ -28,7 +25,6 @@ from .linalg import CertificateError
 from .partitions import closed_form_count
 from .roots import (Factor, SpecParseError, build_irreducible, build_system,
                     parse_system_spec, system_label, system_order)
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -50,14 +46,9 @@ _TABLE_CROSSCHECK_CAP = 5000
 _COLUMNS = ("system", "T", "S", "method", "|W|", "-I in W")
 
 
-@dataclass
-class ReportRow:
-    system: str
-    traces: int
-    supertraces: int
-    method: str
-    order: int
-    minus_identity: bool
+class ReportRow(namedtuple("ReportRow", "system traces supertraces method "
+                                        "order minus_identity")):
+    __slots__ = ()
 
     def cells(self):
         return (self.system, str(self.traces), str(self.supertraces),
@@ -82,6 +73,8 @@ def _emit_markdown(rows, header=_COLUMNS):
 
 
 def _emit_csv(rows, header):
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -89,9 +82,14 @@ def _emit_csv(rows, header):
     return buf.getvalue()
 
 
+def _print_json(payload):
+    import json
+    print(json.dumps(payload, indent=2))
+
+
 def _print_rows(rows, fmt, header, json_payload):
     if fmt == "json":
-        print(json.dumps(json_payload, indent=2))
+        _print_json(json_payload)
     elif fmt == "csv":
         sys.stdout.write(_emit_csv(rows, header))
     else:
@@ -239,9 +237,8 @@ def cmd_table(args) -> int:
                                       for f in _section4_factors()]))
     elapsed = time.perf_counter() - started
     if args.format == "json":
-        payload = {name: [row.as_dict() for row in rows]
-                   for name, rows in sections}
-        print(json.dumps(payload, indent=2))
+        _print_json({name: [row.as_dict() for row in rows]
+                     for name, rows in sections})
     else:
         chunks = []
         for name, rows in sections:
@@ -257,7 +254,14 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+_VERIFY_OPTIONS = ("seed", "trials", "degree")
+
+
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod
+    for name in _VERIFY_OPTIONS:  # verify_mod.DEFAULT_SEED, ... unless given
+        if getattr(args, name) is None:
+            setattr(args, name, getattr(verify_mod, f"DEFAULT_{name.upper()}"))
     budget = _effective_budget(args)
     started = time.perf_counter()
     if args.scope == "theorems":
@@ -325,9 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count traces and supertraces over finite reflection groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, enumerates=False):
-        p.add_argument("--format", choices=("markdown", "csv", "json"),
-                       default="markdown")
+    def common(p, enumerates=False, formats=True):
+        if formats:  # only count, classes and table read it
+            p.add_argument("--format", choices=("markdown", "csv", "json"),
+                           default="markdown")
         p.add_argument("--budget", type=int, default=None,
                        help=f"enumeration budget (default {DEFAULT_BUDGET:,}, "
                             f"or {ENV_BUDGET})")
@@ -361,16 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("scope", choices=("theorems", "lemma", "appendices"))
-    p_verify.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
-    p_verify.add_argument("--trials", type=int, default=verify_mod.DEFAULT_TRIALS)
-    p_verify.add_argument("--degree", type=int, default=verify_mod.DEFAULT_DEGREE)
-    common(p_verify)
+    for name in _VERIFY_OPTIONS:
+        p_verify.add_argument(f"--{name}", type=int)
+    common(p_verify, formats=False)
     p_verify.set_defaults(func=cmd_verify)
 
     p_cache = sub.add_parser("cache", help="manage the on-disk group cache")
     p_cache.add_argument("action", choices=("list", "clear", "warm"))
     p_cache.add_argument("system", nargs="?")
-    common(p_cache, enumerates=True)
+    common(p_cache, enumerates=True, formats=False)
     p_cache.set_defaults(func=cmd_cache)
 
     return parser

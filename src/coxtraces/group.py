@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import accumulate
 
@@ -50,12 +50,10 @@ CACHE_VERSION = 3
 _CACHE_BLOCK = 4096  # elements hashed and written per join
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "group index")):
     """One group element: a dense id inside its parent group."""
 
-    group: "Group"
-    index: int
+    __slots__ = ()
 
     def matrix(self) -> Matrix:
         return self.group.span_matrix_of(self.index)

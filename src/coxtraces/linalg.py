@@ -18,9 +18,7 @@ Q(sqrt5) number ((2x + y) + y*sqrt5)/2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 
 class CertificateError(RuntimeError):
@@ -115,6 +113,7 @@ class Ring:
 def _sqrt5_parts(e) -> tuple:
     """An element of Z or Z[phi] as the Fractions (a, b) of a + b*sqrt5:
     x + y*phi is (2x + y)/2 + (y/2)*sqrt5."""
+    from fractions import Fraction  # only printing leaves the ring
     x, y = (tuple(e) + (0,))[:2]
     return Fraction(2 * x + y, 2), Fraction(y, 2)
 
@@ -187,7 +186,7 @@ class Matrix:
                                for j in range(n)) for i in range(n)), ring)
 
     @classmethod
-    def from_columns(cls, cols: Sequence[tuple], ring: Ring) -> "Matrix":
+    def from_columns(cls, cols, ring: Ring) -> "Matrix":
         return cls(tuple(zip(*cols)), ring)
 
     @property
@@ -272,11 +271,11 @@ def charpoly_from_traces(ring: Ring, traces) -> tuple:
     coeffs = [ring.one]
     for k in range(1, len(traces) + 1):
         total = ring.neg(ring.dot(coeffs[::-1], traces))
-        if any(x % k for x in total if not isinstance(x, Fraction)):
+        if any(x % k for x in total if isinstance(x, int)):
             raise CertificateError(f"Newton step {k} is not exact: {total} "
                                    f"has a coordinate that is no multiple "
                                    f"of {k}")
-        coeffs.append(tuple(x / k if isinstance(x, Fraction) else x // k
+        coeffs.append(tuple(x // k if isinstance(x, int) else x / k
                             for x in total))
     return tuple(reversed(coeffs))
 

@@ -13,8 +13,7 @@ itself is a test oracle, tests/quaternions.py.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .classes import conjugacy_classes
 from .group import shared_group
@@ -25,11 +24,7 @@ from .roots import build_irreducible, closure, orbits, parse_factor
 # -- the rank-3 generator fixture ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class H3Generators:
-    a: Matrix
-    b: Matrix
-    c: Matrix
+H3Generators = namedtuple("H3Generators", "a b c")
 
 
 def build_h3_generators() -> H3Generators:
@@ -38,6 +33,7 @@ def build_h3_generators() -> H3Generators:
     a and c are the coordinate reflections fixing e2 resp. e1; b reflects
     in the root (-1, k, k - 1)/2.  An entry x + y*k is stored as (x, y).
     """
+    from fractions import Fraction  # the one rational the library builds
     golden, h = coordinate_ring(5), Fraction(1, 2)
     one, zero, minus = golden.one, golden.zero, golden.integer(-1)
     a = Matrix([(one, zero, zero), (zero, minus, zero), (zero, zero, one)],
@@ -51,12 +47,8 @@ def build_h3_generators() -> H3Generators:
     return H3Generators(a, b, c)
 
 
-@dataclass
-class H3TableVerdict:
-    ok: bool
-    problems: list
-    class_count: int
-    no_plus_one_classes: int
+H3TableVerdict = namedtuple("H3TableVerdict",
+                            "ok problems class_count no_plus_one_classes")
 
 
 # The published characteristic polynomials det(M - tI), keyed by word:
@@ -142,15 +134,9 @@ def h3_charpoly_table_check() -> H3TableVerdict:
 # -- the rank-4 cross-check ------------------------------------------------------
 
 
-@dataclass
-class H4CensusVerdict:
-    ok: bool
-    problems: list
-    class_count: int
-    traces: int
-    supertraces: int
-    rotation_classes: int
-    reversing_classes: int
+H4CensusVerdict = namedtuple(
+    "H4CensusVerdict", "ok problems class_count traces supertraces "
+                       "rotation_classes reversing_classes")
 
 
 def h4_class_census() -> H4CensusVerdict:

@@ -20,7 +20,7 @@ structure.  All of it is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -28,21 +28,20 @@ from .linalg import CertificateError
 from .roots import Factor, orbits
 
 
-@dataclass(frozen=True)
-class TraceCount:
+class TraceCount(namedtuple("TraceCount", "traces supertraces method")):
     """Result of a count: traces (no eigenvalue +1) and supertraces (no -1)."""
 
-    traces: int
-    supertraces: int
-    method: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, traces, supertraces, method):
+        self = super().__new__(cls, traces, supertraces, method)
         # the ordering theorem: a count that breaks it is a failed check
-        if self.supertraces < 1:
+        if supertraces < 1:
             raise CertificateError(f"supertrace count must be positive, "
                                    f"got {self}")
-        if not 0 <= self.traces <= self.supertraces:
+        if not 0 <= traces <= supertraces:
             raise CertificateError(f"trace count out of range in {self}")
+        return self
 
     def __mul__(self, other):
         if not isinstance(other, TraceCount):
@@ -180,11 +179,7 @@ def summand_count_table(n_max: int):
 # -- the generating-function identity ---------------------------------------------
 
 
-@dataclass
-class LemmaVerdict:
-    ok: bool
-    degree: int
-    problems: list = field(default_factory=list)
+LemmaVerdict = namedtuple("LemmaVerdict", "ok degree problems")
 
 
 def lemma_identity_check(degree: int = 500, enumerate_to: int = 40) -> LemmaVerdict:
@@ -282,14 +277,12 @@ def dihedral_element_flags(element, n: int):
     return k == 0, n % 2 == 0 and k == n // 2
 
 
-@dataclass
-class DihedralClassSummary:
-    n: int
-    classes: list          # each class is a sorted tuple of elements
-    traces: int
-    supertraces: int
-    rotation_classes: int
-    reflection_classes: int
+class DihedralClassSummary(namedtuple(
+        "DihedralClassSummary", "n classes traces supertraces "
+                                "rotation_classes reflection_classes")):
+    """The classes of I2(n), each a sorted tuple of elements, and counts."""
+
+    __slots__ = ()
 
     @property
     def class_count(self) -> int:

@@ -29,8 +29,8 @@ invariants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from math import lcm, prod
+from collections import namedtuple
+from math import lcm, log10, prod
 
 from .linalg import CertificateError, Ring, coordinate_ring
 
@@ -67,12 +67,10 @@ class BudgetExceededError(RuntimeError):
     """A request is past the engine's limits or the enumeration budget."""
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(namedtuple("Factor", "family n")):
     """One irreducible factor of a system description, e.g. A3 or I2(7)."""
 
-    family: str
-    n: int
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -148,11 +146,23 @@ def parse_factor(token: str) -> Factor:
     return Factor("B" if family == "C" else family, n)
 
 
+# the most decimal digits |W| of a whole spec may have: `count` prints
+# |W| in time quadratic in its digits, and two factors at the rank bound
+# (166,716 digits) take about 1 s wall
+MAX_ORDER_DIGITS = 170000
+
+
 def parse_system_spec(spec: str) -> tuple:
-    """Parse 'FACTOR + FACTOR + ...' into a tuple of Factors."""
+    """Parse 'FACTOR + FACTOR + ...' into a tuple of Factors, refusing a
+    system whose |W| has more than MAX_ORDER_DIGITS digits."""
     if not spec or not spec.strip():
         raise SpecParseError("empty system description")
-    return tuple(parse_factor(tok) for tok in spec.split("+"))
+    factors = tuple(parse_factor(tok) for tok in spec.split("+"))
+    digits = sum(sum(map(log10, f.degrees)) for f in factors)
+    if digits > MAX_ORDER_DIGITS:
+        raise SpecParseError(f"|W| of {spec!r} has about {digits:,.0f} "
+                             f"digits, past the limit of {MAX_ORDER_DIGITS:,}")
+    return factors
 
 
 def system_label(factors) -> str:

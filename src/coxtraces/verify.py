@@ -7,7 +7,7 @@ so the CLI can print one line per check and exit nonzero on failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .classes import count, count_brute_force, verify_inequality_theorem
 from .group import DEFAULT_BUDGET, generate_group, shared_group
@@ -22,11 +22,8 @@ DEFAULT_TRIALS = 50
 DEFAULT_DEGREE = 500
 
 
-@dataclass
-class CheckLine:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckLine(namedtuple("CheckLine", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
     def render(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -34,9 +31,12 @@ class CheckLine:
         return f"{status}  {self.name}{tail}"
 
 
-@dataclass
 class SuiteResult:
-    lines: list = field(default_factory=list)
+    def __init__(self, lines=None):
+        self.lines = [] if lines is None else lines
+
+    def __repr__(self):
+        return f"SuiteResult(lines={self.lines!r})"
 
     @property
     def ok(self) -> bool:

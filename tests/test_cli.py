@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 import struct
+import time
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,35 @@ def test_enumeration_options_only_on_enumerating_commands(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "lemma", "--format", "json"),
+    ("cache", "list", "--cache-dir", "groups", "--format", "json"),
+])
+def test_format_only_on_commands_that_read_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_defaults_are_the_verify_module_constants(capsys,
+                                                         monkeypatch):
+    from coxtraces import verify
+    monkeypatch.setattr(verify, "DEFAULT_DEGREE", 60)
+    code, out, _ = _run(capsys, "verify", "lemma")
+    assert code == 0
+    assert out == "PASS  partition parity identity  (degree 60)\n"
+
+
+def test_spec_past_the_digit_bound_is_refused_at_once(capsys):
+    # five factors at the rank bound: a |W| of about 417,000 digits
+    started = time.perf_counter()
+    code, out, err = _run(capsys, "count", "+".join(["B20000"] * 5))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "170,000" in err
 
 
 def test_table_json_fixture(capsys):

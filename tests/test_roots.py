@@ -170,6 +170,14 @@ def test_parse_rejects_bad_tokens():
             parse_factor(bad)
 
 
+def test_spec_digit_bound():
+    # two factors at the rank bound: |W| has 166,716 digits
+    assert len(parse_system_spec("B20000+B20000")) == 2
+    for spec in ("B20000+B20000+A3000", "+".join(["B20000"] * 5)):
+        with pytest.raises(SpecParseError, match="digits"):
+            parse_system_spec(spec)
+
+
 def test_parse_system_spec():
     factors = parse_system_spec("B4 + D5+I2(7) + A0")
     assert [f.label for f in factors] == ["B4", "D5", "I2(7)", "A0"]
