@@ -43,6 +43,10 @@ class TraceCount(namedtuple("TraceCount", "traces supertraces method")):
             raise CertificateError(f"trace count out of range in {self}")
         return self
 
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the theorem too
+        return cls(*iterable)
+
     def __mul__(self, other):
         if not isinstance(other, TraceCount):
             return NotImplemented

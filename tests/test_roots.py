@@ -176,6 +176,13 @@ def test_spec_digit_bound():
     for spec in ("B20000+B20000+A3000", "+".join(["B20000"] * 5)):
         with pytest.raises(SpecParseError, match="digits"):
             parse_system_spec(spec)
+    # the parser skips the exact sum below the bound n log10(max(2n, 30))
+    factors = ([Factor(f, n) for f in "ABD" for n in range(f != "A", 300)]
+               + [Factor("I", m) for m in range(3, 300)]
+               + [parse_factor(t) for t in "E6 E7 E8 F4 G2 H3 H4".split()])
+    for f in factors:
+        assert len(f.degrees) <= f.n
+        assert all(d <= max(2 * f.n, 30) for d in f.degrees)
 
 
 def test_parse_system_spec():

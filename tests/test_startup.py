@@ -71,6 +71,8 @@ def test_records_are_named_tuples_with_their_reprs():
     assert CheckLine("x", True) == ("x", True, "")
     with pytest.raises(CertificateError, match=r"in TraceCount\(traces=3"):
         TraceCount(3, 2, "closed_form")
+    with pytest.raises(CertificateError):
+        count._replace(traces=5)
 
 
 def test_suite_results_share_no_list():
