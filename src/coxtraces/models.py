@@ -33,7 +33,7 @@ def build_h3_generators() -> H3Generators:
     a and c are the coordinate reflections fixing e2 resp. e1; b reflects
     in the root (-1, k, k - 1)/2.  An entry x + y*k is stored as (x, y).
     """
-    from fractions import Fraction  # the one rational the library builds
+    from fractions import Fraction  # for the half-integer entries only
     golden, h = coordinate_ring(5), Fraction(1, 2)
     one, zero, minus = golden.one, golden.zero, golden.integer(-1)
     a = Matrix([(one, zero, zero), (zero, minus, zero), (zero, zero, one)],
