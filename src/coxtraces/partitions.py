@@ -47,11 +47,17 @@ class TraceCount(namedtuple("TraceCount", "traces supertraces method")):
     def _make(cls, iterable):  # so that _replace checks the theorem too
         return cls(*iterable)
 
-    def __mul__(self, other):
+    def __mul__(self, other):  # never tuple repetition or concatenation
         if not isinstance(other, TraceCount):
-            return NotImplemented
+            raise TypeError(f"a TraceCount multiplies only a TraceCount, "
+                            f"not {type(other).__name__}")
         return TraceCount(self.traces * other.traces,
                           self.supertraces * other.supertraces, "composed")
+
+    __rmul__ = __mul__  # 2 * count: a TraceCount is never on the left here
+
+    def __add__(self, other):
+        raise TypeError("TraceCount records multiply; they do not add")
 
     def pair(self):
         return (self.traces, self.supertraces)

@@ -158,9 +158,12 @@ def parse_system_spec(spec: str) -> tuple:
     if not spec or not spec.strip():
         raise SpecParseError("empty system description")
     factors = tuple(parse_factor(tok) for tok in spec.split("+"))
-    # a factor has at most n degrees, each at most max(2n, 30): the exact
-    # sum over the degrees is taken only when that bound is past the limit
-    if sum(f.n * log10(max(2 * f.n, 30)) for f in factors) > MAX_ORDER_DIGITS:
+    # a factor has at most n degrees (I2(n) has two), each at most
+    # max(2n, 30): the exact sum over the degrees is taken only when that
+    # bound is past the limit, which no spec of ranks up to 1,000 reaches
+    bound = sum((2 if f.family == "I" else f.n) * log10(max(2 * f.n, 30))
+                for f in factors)
+    if bound > MAX_ORDER_DIGITS:
         digits = sum(sum(map(log10, f.degrees)) for f in factors)
         if digits > MAX_ORDER_DIGITS:
             raise SpecParseError(f"|W| of {spec!r} has about {digits:,.0f} "

@@ -154,6 +154,11 @@ def test_trace_count_product():
     b = TraceCount(5, 7, "closed_form")
     assert (a * b).pair() == (10, 21)
     assert (a * b).method == "composed"
+    # a named tuple, but never tuple repetition or concatenation
+    for product in (lambda: a * 2, lambda: 2 * a, lambda: a * (5, 7, "x"),
+                    lambda: a + b, lambda: a + (1,)):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_signed_cycle_count_matches_pair_convolution():
