@@ -19,8 +19,7 @@ from .roots import (Factor, RootSystem, SpecParseError, build_irreducible,
 from .group import (DEFAULT_BUDGET, HEAVY_THRESHOLD, BudgetExceededError,
                     CacheFormatError, Group, GroupElement, generate_group,
                     load_group, save_group, shared_group)
-from .partitions import (DihedralClassSummary, LemmaVerdict, TraceCount,
-                         closed_form_count, dihedral_classes,
+from .partitions import (LemmaVerdict, TraceCount, closed_form_count,
                          distinct_odd_partitions, lemma_identity_check,
                          partition_count, partitions_even_summand_count,
                          partitions_odd_parts, partitions_odd_summand_count)
@@ -38,11 +37,10 @@ __all__ = [
     "Group", "GroupElement", "BudgetExceededError", "CacheFormatError",
     "DEFAULT_BUDGET", "HEAVY_THRESHOLD",
     "generate_group", "shared_group", "save_group", "load_group",
-    "TraceCount", "LemmaVerdict", "DihedralClassSummary",
+    "TraceCount", "LemmaVerdict",
     "closed_form_count", "partition_count", "partitions_odd_parts",
     "distinct_odd_partitions", "partitions_even_summand_count",
     "partitions_odd_summand_count", "lemma_identity_check",
-    "dihedral_classes",
     "ConjugacyClass", "FactorMinusIdentity", "InequalityVerdict",
     "conjugacy_classes", "count", "count_brute_force",
     "verify_inequality_theorem",

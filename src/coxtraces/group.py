@@ -32,8 +32,9 @@ from itertools import accumulate
 
 from .linalg import CertificateError, Matrix
 from .roots import (BudgetExceededError, RootSystem, checked_ring_index,
-                    closure, orbits, parse_system_spec, system_from_spec,
-                    system_label, system_order)
+                    closure, orbits, parse_system_spec,
+                    refuse_tuple_arithmetic, system_from_spec, system_label,
+                    system_order)
 
 DEFAULT_BUDGET = 10_000_000
 # enumerations past this order (W(E7), D8, A9, ...) must be asked for explicitly
@@ -54,6 +55,8 @@ class GroupElement(namedtuple("GroupElement", "group index")):
     """One group element: a dense id inside its parent group."""
 
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = refuse_tuple_arithmetic
+    __lt__ = __le__ = __gt__ = __ge__ = refuse_tuple_arithmetic
 
     def matrix(self) -> Matrix:
         return self.group.span_matrix_of(self.index)
@@ -78,29 +81,8 @@ class Group:
     def identity(self) -> GroupElement:
         return GroupElement(self, 0)
 
-    def element(self, i: int) -> GroupElement:
-        if not 0 <= i < self.order:
-            raise IndexError(f"element id {i} outside 0..{self.order - 1}")
-        return GroupElement(self, i)
-
-    @property
-    def generators(self):
-        return [GroupElement(self, i) for i in self.generator_ids]
-
-    def __iter__(self):
-        return (GroupElement(self, i) for i in range(self.order))
-
     def __len__(self):
         return self.order
-
-    # -- composition --------------------------------------------------------
-
-    def compose_ids(self, i: int, j: int) -> int:
-        """Id of the product: element i applied after element j."""
-        return self.index[_compose(self.perms[i], self.perms[j])]
-
-    def inverse_id(self, i: int) -> int:
-        return self.index[_invert(self.perms[i])]
 
     # -- matrices ------------------------------------------------------------
 

@@ -197,9 +197,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.rows, self.ring)
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

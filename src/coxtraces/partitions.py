@@ -14,8 +14,8 @@ and is certified against Gauss's sum_k (-1)^k x^(k^2) = phi(x)^2 /
 phi(x^2): q(n) = sum_k (-1)^k p(n - 2k^2) counts the partitions into
 distinct odd summands, and d(n) = (-1)^n q(n) must hold.  The generating
 -function identity check keeps its own O(n^2) routes, the parity DP and
-the odd-part product, apart from the p table.  Also the dihedral class
-structure.  All of it is exact integer arithmetic.
+the odd-part product, apart from the p table.  All of it is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .linalg import CertificateError
-from .roots import Factor, orbits
+from .roots import Factor, refuse_tuple_arithmetic
 
 
 class TraceCount(namedtuple("TraceCount", "traces supertraces method")):
@@ -56,8 +56,7 @@ class TraceCount(namedtuple("TraceCount", "traces supertraces method")):
 
     __rmul__ = __mul__  # 2 * count: a TraceCount is never on the left here
 
-    def __add__(self, other):
-        raise TypeError("TraceCount records multiply; they do not add")
+    __add__ = __radd__ = refuse_tuple_arithmetic
 
     def pair(self):
         return (self.traces, self.supertraces)
@@ -253,88 +252,6 @@ def lemma_identity_check(degree: int = 500, enumerate_to: int = 40) -> LemmaVerd
             problems.append(f"signed summand sum disagrees at n={n}")
             break
     return LemmaVerdict(not problems, degree, problems)
-
-
-# -- dihedral groups -------------------------------------------------------------
-
-
-def dihedral_mul(x, y, n: int):
-    """Product in the dihedral group of the regular n-gon.
-
-    Elements are ('s', k) for the rotation by 2 pi k / n and ('r', k) for
-    the reflection whose axis sits at angle pi k / n.
-    """
-    (kx, ax), (ky, ay) = x, y
-    if kx == "s" and ky == "s":
-        return ("s", (ax + ay) % n)
-    if kx == "r" and ky == "r":
-        return ("s", (ax - ay) % n)
-    if kx == "r":
-        return ("r", (ax - ay) % n)
-    return ("r", (ax + ay) % n)
-
-
-def dihedral_element_flags(element, n: int):
-    """(has +1, has -1) for the 2x2 action of a dihedral element.
-
-    Every reflection fixes its axis and negates the orthogonal one; the
-    rotation by 2 pi k / n has eigenvalue +1 only for k = 0 and -1 only
-    for the half turn, which exists only when n is even.
-    """
-    kind, k = element
-    if kind == "r":
-        return True, True
-    return k == 0, n % 2 == 0 and k == n // 2
-
-
-class DihedralClassSummary(namedtuple(
-        "DihedralClassSummary", "n classes traces supertraces "
-                                "rotation_classes reflection_classes")):
-    """The classes of I2(n), each a sorted tuple of elements, and counts."""
-
-    __slots__ = ()
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
-    def counts(self) -> TraceCount:
-        return TraceCount(self.traces, self.supertraces, "brute_force")
-
-
-def dihedral_classes(n: int) -> DihedralClassSummary:
-    """Conjugacy classes of the dihedral group of the n-gon, by enumeration.
-
-    Classes are computed honestly (orbits of the explicit element list
-    under conjugation by the two generating reflections), not from the
-    known answer, so this doubles as an oracle for the closed forms
-    floor(n/2) and floor((n+1)/2).
-    """
-    if n < 3:
-        raise ValueError(f"dihedral model needs n >= 3, got {n}")
-    elements = [("s", k) for k in range(n)] + [("r", k) for k in range(n)]
-    index = {x: i for i, x in enumerate(elements)}
-    # reflections are involutions, so g x g is conjugation by g
-    orbit_ids = orbits(elements, index, [("r", 0), ("r", 1)],
-                       lambda x, g: dihedral_mul(dihedral_mul(g, x, n), g, n))
-    classes = sorted(tuple(sorted(elements[i] for i in ids))
-                     for ids in orbit_ids)
-    traces = 0
-    supertraces = 0
-    rotation_classes = 0
-    reflection_classes = 0
-    for cls in classes:
-        has_plus, has_minus = dihedral_element_flags(cls[0], n)
-        if not has_plus:
-            traces += 1
-        if not has_minus:
-            supertraces += 1
-        if cls[0][0] == "s":
-            rotation_classes += 1
-        else:
-            reflection_classes += 1
-    return DihedralClassSummary(n, classes, traces, supertraces,
-                                rotation_classes, reflection_classes)
 
 
 # -- closed forms ------------------------------------------------------------------

@@ -67,10 +67,18 @@ class BudgetExceededError(RuntimeError):
     """A request is past the engine's limits or the enumeration budget."""
 
 
+def refuse_tuple_arithmetic(self, other):
+    """The records are named tuples that never concatenate, repeat or
+    order as tuples; equality with a plain tuple stays."""
+    raise TypeError(f"{type(self).__name__} records do no tuple arithmetic")
+
+
 class Factor(namedtuple("Factor", "family n")):
     """One irreducible factor of a system description, e.g. A3 or I2(7)."""
 
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = refuse_tuple_arithmetic
+    __lt__ = __le__ = __gt__ = __ge__ = refuse_tuple_arithmetic
 
     @property
     def label(self) -> str:
@@ -109,11 +117,6 @@ class Factor(namedtuple("Factor", "family n")):
         """Whether -identity lies in the group: exactly when every degree
         is even, except for A0, which fixes its line."""
         return self.rank > 0 and all(d % 2 == 0 for d in self.degrees)
-
-    @property
-    def canonical(self) -> bool:
-        """False only for the testing-grade D2 and D3 aliases."""
-        return not (self.family == "D" and self.n < 4)
 
 
 _FACTOR_RE = re.compile(r"^(A|B|C|D|E|F|G|H)(\d+)$|^I2\((\d+)\)$")
@@ -356,10 +359,6 @@ class RootSystem:
     @property
     def label(self) -> str:
         return system_label(self.factors)
-
-    @property
-    def known_order(self) -> int:
-        return system_order(self.factors)
 
     @property
     def trivial_dims(self) -> int:

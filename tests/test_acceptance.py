@@ -19,11 +19,11 @@ from coxtraces.classes import conjugacy_classes, count, count_brute_force
 from coxtraces.group import (BudgetExceededError, contains_minus_identity,
                              generate_group, shared_group)
 from coxtraces.models import h3_charpoly_table_check, h4_class_census
-from coxtraces.partitions import (closed_form_count, dihedral_classes,
-                                  lemma_identity_check)
+from coxtraces.partitions import closed_form_count, lemma_identity_check
 from coxtraces.roots import parse_factor, system_from_spec
 from coxtraces.verify import (inequality_suite, multiplicativity_suite,
                               random_composite_factors)
+from dihedral import dihedral_classes
 from field import ONE, ZERO, FieldElement, gauss_det
 from quaternions import (lr_fixed_point_criterion, star_action_matrix,
                          unit_icosians)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import prod
+
 import pytest
 
 from coxtraces import classes as classes_module
@@ -9,8 +11,10 @@ from coxtraces import group as group_module
 from coxtraces.classes import (conjugacy_classes, count, count_brute_force,
                                verify_inequality_theorem)
 from coxtraces.group import GroupElement, generate_group, shared_group
-from coxtraces.partitions import closed_form_count, dihedral_classes
-from coxtraces.roots import parse_factor, system_from_spec
+from coxtraces.partitions import closed_form_count
+from coxtraces.roots import parse_factor, parse_system_spec, system_from_spec
+from dihedral import dihedral_classes
+from signed_cycles import bn_dn_class_enumeration
 
 
 def has_eigenvalue(g: GroupElement, value: int) -> bool:
@@ -26,19 +30,52 @@ def has_eigenvalue(g: GroupElement, value: int) -> bool:
     return at == ring.zero or (value == 1 and group.system.trivial_dims > 0)
 
 
-CLASS_COUNTS = {
-    "A1": 2, "A2": 3, "A3": 5, "A4": 7,   # partitions of n+1
-    "B2": 5, "B3": 10, "G2": 6, "F4": 25, "H3": 10, "H4": 34, "E6": 25,
-    "I2(5)": 4,
-}
+def _partition_numbers(n_max: int) -> list:
+    """p(0), ..., p(n_max), part by part (none of the library's tables)."""
+    p = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for m in range(part, n_max + 1):
+            p[m] += p[m - part]
+    return p
 
 
-def test_class_counts():
-    for label, expected in CLASS_COUNTS.items():
-        group = shared_group(system_from_spec(label))
-        classes = conjugacy_classes(group)
-        assert len(classes) == expected, label
-        assert sum(c.size for c in classes) == group.order
+P = _partition_numbers(8)
+
+# Carter, Conjugacy classes in the Weyl group (1972), and the icosahedral
+# groups (Geck-Pfeiffer 2000)
+EXCEPTIONAL_CLASS_COUNTS = {"E6": 25, "F4": 25, "G2": 6, "H3": 10, "H4": 34}
+
+
+def classical_class_count(factor) -> int:
+    """The number of conjugacy classes of W(factor), without its group."""
+    n = factor.n
+    if factor.family == "A":
+        return P[n + 1]
+    if factor.family == "B":
+        return sum(P[k] * P[n - k] for k in range(n + 1))
+    if factor.family == "D":
+        # signed cycle types with an even number of sign-reversing cycles;
+        # those with only even sign-preserving cycles split in two
+        types = bn_dn_class_enumeration(n, "D")
+        return len(types) + sum(1 for t in types if not t.flipped_cycles and
+                                all(k % 2 == 0 for k in t.plain_cycles))
+    if factor.family == "I":
+        return (n + 3) // 2 if n % 2 else n // 2 + 3
+    return EXCEPTIONAL_CLASS_COUNTS[factor.label]
+
+
+@pytest.mark.parametrize(
+    "spec", [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)]
+    + ["D4", "D5", "D6", "E6", "F4", "G2", "H3", "H4"]
+    + [f"I2({m})" for m in range(3, 31)] + ["B3+I2(5)", "D4+A2+A0"])
+def test_class_counts(spec):
+    # the enumerated classes against the classical class numbers; a
+    # product system has the product of its factors' numbers
+    group = shared_group(system_from_spec(spec))
+    classes = conjugacy_classes(group)
+    assert len(classes) == prod(map(classical_class_count,
+                                    parse_system_spec(spec)))
+    assert sum(c.size for c in classes) == group.order
 
 
 def test_identity_class():
@@ -117,7 +154,7 @@ def test_check_all_members_agrees_on_small_groups():
         for cls, members in zip(classes, group.class_orbits()):
             assert cls.size == len(members)
             for m in members:
-                g = group.element(m)
+                g = GroupElement(group, m)
                 assert (has_eigenvalue(g, 1), has_eigenvalue(g, -1)) == \
                     (cls.has_plus_one, cls.has_minus_one), (label, m)
 
@@ -159,7 +196,8 @@ def test_has_eigenvalue_on_elements():
     group = shared_group(system_from_spec("B2"))
     assert has_eigenvalue(group.identity, 1)
     assert not has_eigenvalue(group.identity, -1)
-    flips = [g for g in group
+    elements = [GroupElement(group, i) for i in range(group.order)]
+    flips = [g for g in elements
              if has_eigenvalue(g, -1) and not has_eigenvalue(g, 1)]
     assert len(flips) == 1   # only the central -identity inverts everything
     with pytest.raises(ValueError):

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from coxtraces import partitions
 from coxtraces.linalg import CertificateError
-from coxtraces.partitions import (DihedralClassSummary, TraceCount,
-                                  _coefficient, _parity_difference_table,
-                                  _series, closed_form_count,
-                                  dihedral_classes, dihedral_element_flags,
-                                  dihedral_mul, distinct_odd_partitions,
+from coxtraces.partitions import (TraceCount, _coefficient,
+                                  _parity_difference_table, _series,
+                                  closed_form_count, distinct_odd_partitions,
                                   lemma_identity_check, partition_count,
                                   partitions_even_summand_count,
                                   partitions_odd_parts,
                                   partitions_odd_summand_count)
 from coxtraces.roots import parse_factor
+from dihedral import dihedral_classes, dihedral_element_flags, dihedral_mul
 from signed_cycles import (SignedCycleType, bn_class_eigen_flags,
                            bn_dn_class_enumeration, bn_dn_trace_counts,
                            partitions_even_count_of_even_parts)

@@ -8,12 +8,12 @@ from functools import lru_cache
 import pytest
 
 from ambient_oracle import ambient_roots, axiom_problems, cartan, simple_roots
-from coxtraces.group import generate_group, shared_group
+from coxtraces.group import _conjugate, _walker, generate_group, shared_group
 from coxtraces.linalg import Matrix, coordinate_ring
 from coxtraces.roots import (Factor, SpecParseError, build_irreducible,
                              build_system, cartan_matrix, direct_sum,
                              parse_factor, parse_system_spec, ring_index,
-                             system_from_spec)
+                             system_from_spec, system_order)
 from field import GOLDEN, HALF, ZERO, dot, from_golden, vadd, vneg, vscale
 
 ROOT_COUNTS = {
@@ -228,9 +228,11 @@ def test_minus_identity_classification():
 
 
 def test_noncanonical_low_rank_d():
-    assert not Factor("D", 2).canonical
-    assert not Factor("D", 3).canonical
-    assert Factor("D", 4).canonical
+    # D2 and D3 are accepted as the aliases A1+A1 and A3, by their degrees
+    assert sorted(parse_factor("D2").degrees) == [2, 2]
+    assert sorted(parse_factor("D3").degrees) == list(parse_factor("A3").degrees)
+    assert build_irreducible(Factor("D", 2)).cartan == \
+        system_from_spec("A1+A1").cartan
 
 
 def _value(ring, e) -> float:
@@ -276,7 +278,7 @@ def test_odd_dihedral_has_a_symmetric_cartan_matrix():
         assert system.cartan[0][1] == system.cartan[1][0], m
         assert system.ring.n == m
         assert len(system.roots) == 2 * m
-        assert system.known_order == 2 * m
+        assert system_order(system.factors) == 2 * m
 
 
 def test_empty_system_contributes_a_fixed_line():
@@ -292,7 +294,7 @@ def test_direct_sum_bookkeeping():
     total = direct_sum(left, right)
     assert total.rank == left.rank + right.rank
     assert len(total.roots) == len(left.roots) + len(right.roots)
-    assert total.known_order == left.known_order * right.known_order
+    assert system_order(total.factors) == 8 * 6
     assert generate_group(total).order == 8 * 6
 
 
@@ -308,7 +310,7 @@ def test_direct_sum_needs_one_ring():
 def test_composite_with_empty_and_dihedral_parts():
     system = system_from_spec("B2+I2(9)+A0")
     assert system.trivial_dims == 1
-    assert system.known_order == 8 * 18 * 1
+    assert system_order(system.factors) == 8 * 18 * 1
     assert system.label == "B2+I2(9)+A0"
     assert system.ring.n == 9
     assert len(system.roots) == 8 + 18
@@ -352,7 +354,7 @@ def test_reflection_fixes_orthogonal_and_negates_root():
             for b, beta in enumerate(system.roots):
                 if ring.dot(system.cartan[k], beta) == ring.zero:
                     assert perm[b] == b
-            m = group.generators[k].matrix()
+            m = group.span_matrix_of(group.generator_ids[k])
             assert m * m == Matrix.identity(rank, ring)
             assert m.det() == ring.integer(-1)
 
@@ -393,9 +395,9 @@ def test_highest_h3_root_reflection_has_golden_entries():
     assert any(y for _, y in system.roots[top])
     w = next(w for w in range(group.order)
              if group.perms[w][system.simple_root_indices[0]] == top)
-    s0 = group.generator_ids[0]
-    m = group.span_matrix_of(group.compose_ids(group.compose_ids(w, s0),
-                                               group.inverse_id(w)))
+    s0 = group.perms[group.generator_ids[0]]
+    m = group.span_matrix_of(group.index[_conjugate(s0,
+                                                    _walker(group.perms[w]))])
     assert m * m == Matrix.identity(3, ring)
     assert m.det() == ring.integer(-1)
     assert any(y for row in m.rows for _, y in row)

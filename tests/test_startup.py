@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import coxtraces
+from coxtraces.group import GroupElement
 from coxtraces.linalg import CertificateError
 from coxtraces.partitions import TraceCount
 from coxtraces.roots import Factor
@@ -73,6 +74,22 @@ def test_records_are_named_tuples_with_their_reprs():
         TraceCount(3, 2, "closed_form")
     with pytest.raises(CertificateError):
         count._replace(traces=5)
+
+
+def test_records_do_no_tuple_arithmetic():
+    # equality with a plain tuple stays; sums, repeats and orders do not
+    factor, element = Factor("A", 3), GroupElement(None, 0)
+    assert factor == ("A", 3) and element == (None, 0)
+    for record, other in ((factor, Factor("B", 1)), (element, element)):
+        for refused in (lambda: record + other, lambda: record + (1,),
+                        lambda: (1,) + record, lambda: record * 2,
+                        lambda: 2 * record, lambda: record < other,
+                        lambda: record <= other, lambda: record > other,
+                        lambda: record >= other):
+            with pytest.raises(TypeError, match="no tuple arithmetic"):
+                refused()
+    with pytest.raises(TypeError, match="no tuple arithmetic"):
+        (1,) + TraceCount(4, 4, "closed_form")
 
 
 def test_suite_results_share_no_list():
