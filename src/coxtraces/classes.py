@@ -5,9 +5,9 @@ a certified generating set of the group (Group.walk_set), reads
 eigenvalue membership and the determinant off the exact characteristic
 polynomial of one representative per class, over the system's ring
 Z[2cos(pi/N)], and checks the class sizes against the degrees of the
-basic invariants.  The closed-form path multiplies the per-factor
-formulas and works on parsed Factors only: it never builds a root
-system.  Both are exposed through count(), and the theorem checker
+basic invariants and the number of classes against Factor.class_count.
+The closed-form path multiplies the per-factor formulas and works on
+parsed Factors only: it never builds a root system.  Both are exposed through count(), and the theorem checker
 compares the equality case T = S against actual -identity membership.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, reduce
+from math import prod
 from operator import add, mul
 
 from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
@@ -75,6 +76,10 @@ def conjugacy_classes(group: Group):
     if total != group.order:
         raise CertificateError(f"classes cover {total} of {group.order} "
                                "elements")
+    expected = prod(f.class_count for f in system.factors)
+    if len(out) != expected:
+        raise CertificateError(f"{len(out)} classes found, but "
+                               f"{system.label} has {expected}")
     _certify_fixed_dims(system, out)
     return out
 

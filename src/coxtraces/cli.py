@@ -260,8 +260,11 @@ _VERIFY_OPTIONS = ("seed", "trials", "degree")
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
     for name in _VERIFY_OPTIONS:  # verify_mod.DEFAULT_SEED, ... unless given
-        if getattr(args, name) is None:
+        value = getattr(args, name)
+        if value is None:
             setattr(args, name, getattr(verify_mod, f"DEFAULT_{name.upper()}"))
+        elif value < 0 and name != "seed":
+            raise SpecParseError(f"{name} must be non-negative, got {value}")
     budget = _effective_budget(args)
     started = time.perf_counter()
     if args.scope == "theorems":
@@ -283,13 +286,11 @@ def cmd_verify(args) -> int:
 def cmd_cache(args) -> int:
     cache_dir = _effective_cache_dir(args)
     if not cache_dir:
-        print("no cache directory configured; pass --cache-dir or set "
-              f"{ENV_CACHE_DIR}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecParseError("no cache directory configured; pass "
+                             f"--cache-dir or set {ENV_CACHE_DIR}")
     if args.action == "warm":
         if not args.system:
-            print("cache warm needs a system spec", file=sys.stderr)
-            return EXIT_USAGE
+            raise SpecParseError("cache warm needs a system spec")
         group = _generate(args, parse_system_spec(args.system),
                           _effective_budget(args))
         os.makedirs(cache_dir, exist_ok=True)

@@ -81,9 +81,6 @@ class Group:
     def identity(self) -> GroupElement:
         return GroupElement(self, 0)
 
-    def __len__(self):
-        return self.order
-
     # -- matrices ------------------------------------------------------------
 
     def span_matrix_of(self, i: int) -> Matrix:

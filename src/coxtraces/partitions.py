@@ -65,11 +65,11 @@ class TraceCount(namedtuple("TraceCount", "traces supertraces method")):
 # -- plain partition counting ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _series(n_max: int, step: int, distinct: bool):
     """Coefficients up to x^n_max of the product over the parts
     k = 1, 1 + step, 1 + 2 step, ... of 1/(1 - x^k), or of (1 + x^k)
-    when the parts are distinct."""
+    when the parts are distinct.  Not memoised: the lemma reads each
+    series once, and a memo would hold all of them, O(degree^2) ints."""
     ways = [1] + [0] * n_max
     for part in range(1, n_max + 1, step):
         span = (range(n_max, part - 1, -1) if distinct

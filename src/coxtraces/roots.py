@@ -50,6 +50,12 @@ _EXCEPTIONAL = {
     ("H", 4): ((2, 12, 20, 30), ((1, 2), (1, 3))),
 }
 
+# the numbers of conjugacy classes (Carter, Conjugacy classes in the Weyl
+# group, 1972; Geck and Pfeiffer, Characters of Finite Coxeter Groups and
+# Iwahori-Hecke Algebras, 2000)
+_EXCEPTIONAL_CLASSES = {("E", 6): 25, ("E", 7): 60, ("E", 8): 112,
+                        ("F", 4): 25, ("G", 2): 6, ("H", 3): 10, ("H", 4): 34}
+
 # I2(4) and I2(6): (a_01, a_10) of B2 and G2
 _I2_CRYSTAL = {4: (-2, -1), 6: (-3, -1)}
 
@@ -97,6 +103,29 @@ class Factor(namedtuple("Factor", "family n")):
         if self.family == "I":
             return (2, n)
         return _EXCEPTIONAL[(self.family, n)][0]
+
+    @property
+    def class_count(self) -> int:
+        """The number of conjugacy classes of W, from no enumeration: the
+        (signed) cycle types for A, B and D, read off p(k) and the number
+        E(k) of partitions of k into an even number of parts."""
+        family, n = self.family, self.n
+        if family == "I":
+            return (n + 3) // 2 if n % 2 else n // 2 + 3
+        if family not in "ABD":
+            return _EXCEPTIONAL_CLASSES[(family, n)]
+        p, d = [1] + [0] * (n + 1), [1] + [0] * (n + 1)  # d(k) = 2E(k) - p(k)
+        for part in range(1, n + 2):
+            for m in range(part, n + 2):
+                p[m] += p[m - part]
+                d[m] -= d[m - part]
+        if family == "A":
+            return p[n + 1]
+        if family == "B":
+            return sum(p[k] * p[n - k] for k in range(n + 1))
+        # an even number of negative cycles; all-even positive types split
+        return (sum(p[n - k] * (p[k] + d[k]) // 2 for k in range(n + 1))
+                + (0 if n % 2 else p[n // 2]))
 
     @property
     def order(self) -> int:

@@ -10,7 +10,8 @@ from coxtraces import classes as classes_module
 from coxtraces import group as group_module
 from coxtraces.classes import (conjugacy_classes, count, count_brute_force,
                                verify_inequality_theorem)
-from coxtraces.group import GroupElement, generate_group, shared_group
+from coxtraces.group import Group, GroupElement, generate_group, shared_group
+from coxtraces.linalg import CertificateError
 from coxtraces.partitions import closed_form_count
 from coxtraces.roots import parse_factor, parse_system_spec, system_from_spec
 from dihedral import dihedral_classes
@@ -76,6 +77,38 @@ def test_class_counts(spec):
     assert len(classes) == prod(map(classical_class_count,
                                     parse_system_spec(spec)))
     assert sum(c.size for c in classes) == group.order
+
+
+@pytest.mark.parametrize(
+    "spec", [f"A{n}" for n in range(8)] + [f"B{n}" for n in range(2, 8)]
+    + [f"D{n}" for n in range(2, 9)] + ["E6", "F4", "G2", "H3", "H4"]
+    + [f"I2({m})" for m in range(3, 41)])
+def test_factor_class_count_is_the_classical_number(spec):
+    factor = parse_factor(spec)
+    assert factor.class_count == classical_class_count(factor)
+
+
+def test_factor_class_count_values():
+    counts = {label: parse_factor(label).class_count
+              for label in ("D2", "D3", "D4", "D5", "D6", "E7", "E8", "A19",
+                            "B10")}
+    assert counts == {"D2": 4, "D3": 5, "D4": 13, "D5": 18, "D6": 37,
+                      "E7": 60, "E8": 112, "A19": 627, "B10": 481}
+
+
+def test_walk_set_that_splits_classes_fails_the_class_count(monkeypatch):
+    # the B4 walk set without its long reflection walks finer classes
+    # whose sizes by fixed dimension still match the degrees; with the
+    # walk-set certificate patched out, the class count must refuse them
+    group = generate_group(system_from_spec("B4"))
+    long_root = group.perms[group.generator_ids[1]]
+    short_only = [g for g in group.walk_set() if g != long_root]
+    monkeypatch.setattr(Group, "walk_set", lambda self: short_only)
+    monkeypatch.setattr(group_module, "_certify_walk_set",
+                        lambda walk, simple: None)
+    with pytest.raises(CertificateError,
+                       match=r"^\d+ classes found, but B4 has 20$"):
+        conjugacy_classes(group)
 
 
 def test_identity_class():

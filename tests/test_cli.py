@@ -68,6 +68,22 @@ def test_negative_budget_is_usage_error(capsys):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize("argv", [("verify", "lemma", "--degree", "-5"),
+                                  ("verify", "lemma", "--degree", "-1"),
+                                  ("verify", "theorems", "--trials", "-1"),
+                                  ("verify", "appendices", "--trials", "-2")])
+def test_negative_verify_options_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    option = argv[2][2:]
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} must be non-negative, got {argv[3]}\n"
+
+
+def test_verify_lemma_at_degree_0(capsys):
+    code, out, _ = _run(capsys, "verify", "lemma", "--degree", "0")
+    assert (code, out) == (0, "PASS  partition parity identity  (degree 0)\n")
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -376,7 +392,12 @@ def test_cache_needs_a_directory(capsys, monkeypatch):
     monkeypatch.delenv("COXTRACES_CACHE_DIR", raising=False)
     code, _, err = _run(capsys, "cache", "list")
     assert code == 2
-    assert "cache" in err
+    assert err.startswith("error: no cache directory") and err.count("\n") == 1
+
+
+def test_cache_warm_needs_a_spec(capsys, tmp_path):
+    code, out, err = _run(capsys, "cache", "warm", "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: cache warm needs a system spec\n")
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

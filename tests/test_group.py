@@ -51,7 +51,6 @@ def test_generated_orders_match_the_product_formula():
     for label, expected in KNOWN_ORDERS.items():
         group = shared_group(system_from_spec(label))
         assert group.order == expected, label
-        assert len(group) == expected
 
 
 def _full_bfs(system):

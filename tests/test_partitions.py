@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -96,6 +98,22 @@ def test_pentagonal_table_matches_the_dp_routes_to_2000():
         even = partitions_even_summand_count(n)
         assert (even, partitions_odd_summand_count(n)) == \
             ((plain[n] + diff[n]) // 2, (plain[n] - diff[n]) // 2), n
+
+
+def test_lemma_holds_no_series_after_it_returns():
+    # it reads each distinct-odd series once; a memo of them would hold
+    # about degree^2 / 2 integers, some 0.5 MB at degree 200.  Start cold,
+    # as a command-line call does.
+    for value in vars(partitions).values():
+        getattr(value, "cache_clear", lambda: None)()
+    tracemalloc.start()
+    try:
+        verdict = lemma_identity_check(200)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert verdict == (True, 200, [])
+    assert held < 100_000, held
 
 
 def test_p_table_grown_rank_by_rank_equals_one_built_at_once():
