@@ -265,6 +265,9 @@ def cmd_verify(args) -> int:
             setattr(args, name, getattr(verify_mod, f"DEFAULT_{name.upper()}"))
         elif value < 0 and name != "seed":
             raise SpecParseError(f"{name} must be non-negative, got {value}")
+        elif name == "degree" and value > verify_mod.MAX_DEGREE:
+            raise SpecParseError(f"degree must be at most "
+                                 f"{verify_mod.MAX_DEGREE:,}, got {value}")
     budget = _effective_budget(args)
     started = time.perf_counter()
     if args.scope == "theorems":

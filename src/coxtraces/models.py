@@ -18,7 +18,7 @@ from collections import namedtuple
 from .classes import conjugacy_classes
 from .group import shared_group
 from .linalg import Matrix, coordinate_ring
-from .roots import build_irreducible, closure, orbits, parse_factor
+from .roots import build_irreducible, closure, parse_factor
 
 
 # -- the rank-3 generator fixture ----------------------------------------------
@@ -99,8 +99,14 @@ def h3_charpoly_table_check() -> H3TableVerdict:
     elements, index, _ = closure([ident], [a, b, c], lambda m, g: g * m)
     if len(elements) != 120:
         problems.append(f"group order {len(elements)}, expected 120")
-    # the generators are involutions, so g m g is conjugation by g
-    classes = orbits(elements, index, [a, b, c], lambda m, g: g * m * g)
+    # the generators are involutions, so g m g is conjugation by g; each
+    # class is the closure of its least element, in id order
+    classes, seen = [], set()
+    for m in elements:
+        if m not in seen:
+            orbit = closure([m], [a, b, c], lambda x, g: g * x * g)[0]
+            seen.update(orbit)
+            classes.append([index[x] for x in orbit])
     class_count = len(classes)
     if class_count != 10:
         problems.append(f"{class_count} classes, expected 10")

@@ -303,7 +303,7 @@ def _reflections(ring: Ring, cartan) -> list:
     return [reflection(i, row) for i, row in enumerate(cartan)]
 
 
-# -- the one closure and orbit walk, for roots and every group model ---------
+# -- the one closure, for roots and every group model ------------------------
 
 
 def closure(seeds, gens, act, depth=None):
@@ -327,39 +327,6 @@ def closure(seeds, gens, act, depth=None):
                     fresh.append(y)
         frontier = fresh
     return elements, index, layers
-
-
-def orbits(elements, index, gens, act, shifts=()):
-    """Orbits of the bijections x -> act(x, g), as id lists ordered by
-    least id, each starting with its least id.  Each shift is a translate
-    table of a bijection that commutes with every act(., g) (a central
-    element, for conjugation): it maps a walked orbit onto an orbit, which
-    is then taken whole, with no act call."""
-    visited = bytearray(len(elements))
-    out = []
-    for seed in range(len(elements)):
-        if visited[seed]:
-            continue
-        visited[seed] = 1
-        members = [seed]
-        stack = [seed]
-        while stack:
-            x = elements[stack.pop()]
-            for g in gens:
-                y = index[act(x, g)]
-                if not visited[y]:
-                    visited[y] = 1
-                    members.append(y)
-                    stack.append(y)
-        out.append(members)
-        for table in shifts:
-            if visited[index[elements[seed].translate(table)]]:
-                continue  # the orbit itself, or one taken already
-            image = sorted(index[elements[i].translate(table)] for i in members)
-            for y in image:
-                visited[y] = 1
-            out.append(image)
-    return sorted(out)  # by least id, the first of each
 
 
 # -- the system object ----------------------------------------------------------

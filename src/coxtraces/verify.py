@@ -19,6 +19,8 @@ from .roots import Factor, build_system, parse_factor, system_label
 DEFAULT_SEED = 7
 DEFAULT_TRIALS = 50
 DEFAULT_DEGREE = 500
+# the lemma costs O(degree^3): 6-9 s at this degree on a 2 vCPU host
+MAX_DEGREE = 1000
 
 
 class CheckLine(namedtuple("CheckLine", "name ok detail", defaults=("",))):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from coxtraces.partitions import TraceCount
-from coxtraces.roots import orbits
+from coxtraces.roots import closure
 
 
 def dihedral_mul(x, y, n: int):
@@ -59,12 +59,15 @@ def dihedral_classes(n: int) -> DihedralClassSummary:
     if n < 3:
         raise ValueError(f"dihedral model needs n >= 3, got {n}")
     elements = [("s", k) for k in range(n)] + [("r", k) for k in range(n)]
-    index = {x: i for i, x in enumerate(elements)}
     # reflections are involutions, so g x g is conjugation by g
-    orbit_ids = orbits(elements, index, [("r", 0), ("r", 1)],
-                       lambda x, g: dihedral_mul(dihedral_mul(g, x, n), g, n))
-    classes = sorted(tuple(sorted(elements[i] for i in ids))
-                     for ids in orbit_ids)
+    classes, seen = [], set()
+    for x in elements:
+        if x not in seen:
+            orbit = closure([x], [("r", 0), ("r", 1)],
+                            lambda y, g: dihedral_mul(dihedral_mul(g, y, n), g, n))[0]
+            seen.update(orbit)
+            classes.append(tuple(sorted(orbit)))
+    classes.sort()
     traces = 0
     supertraces = 0
     rotation_classes = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import struct
@@ -13,6 +14,7 @@ import pytest
 from coxtraces import classes, cli, group, partitions, roots
 from coxtraces.classes import count
 from coxtraces.cli import main
+from coxtraces.verify import MAX_DEGREE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -372,7 +374,7 @@ def test_cache_warm_list_count_clear(capsys, tmp_path):
 
     code, out, _ = _run(capsys, "cache", "list", "--cache-dir", cache)
     assert code == 0
-    assert "F4  order=1152" in out and "version=3" in out
+    assert "F4  order=1152" in out and "version=4" in out
 
     code, out, _ = _run(capsys, "count", "F4", "--strategy", "brute",
                         "--cache-dir", cache, "--format", "json")
@@ -434,12 +436,13 @@ def test_corrupt_cache_is_an_io_error(capsys, tmp_path):
 
 
 def test_every_corrupted_element_of_a_cache_is_refused(capsys, tmp_path):
-    # reversing any one of the 48 stored permutations of W(B3) must exit 4,
-    # never crash or print a wrong count
+    # reversing any one of the 24 stored permutations of W(B3), its
+    # elements of length <= 4, must exit 4, never crash or print a wrong
+    # count
     cache = tmp_path / "b3"
     _run(capsys, "cache", "warm", "B3", "--cache-dir", str(cache))
     raw = (cache / "B3.grp").read_bytes()
-    for at in range(len(raw) - 48 * 18, len(raw), 18):   # 18 roots each
+    for at in range(len(raw) - 24 * 18, len(raw), 18):   # 18 roots each
         (cache / "B3.grp").write_bytes(
             raw[:at] + raw[at:at + 18][::-1] + raw[at + 18:])
         code, out, err = _run(capsys, "count", "B3", "--strategy", "brute",
@@ -486,3 +489,53 @@ def test_cache_version_2_files_of_earlier_releases_load(capsys, tmp_path, spec, 
         cold = _run(capsys, *argv)
         warm = _run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert cold[:2] == warm[:2] and cold[0] == 0
+
+
+@pytest.mark.parametrize("spec, name", [("H3", "H3.grp"),
+                                        ("B2+I2(5)+A0", "B2_I25_A0.grp")])
+def test_cache_version_3_files_of_earlier_releases_load(capsys, tmp_path,
+                                                        spec, name):
+    # files of format version 3, all of W with the lower half first: the
+    # fold reads that half, and the output is the cold output, byte for
+    # byte; a version 4 file of the same group is about half the bytes
+    shutil.copy(GOLDEN / "cache_v3" / name, tmp_path / name)
+    assert (tmp_path / name).read_bytes()[4] == 3
+    for argv in (("count", spec, "--strategy", "brute"), ("classes", spec),
+                 ("classes", spec, "--format", "json")):
+        cold = _run(capsys, *argv)
+        warm = _run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert cold[:2] == warm[:2] and cold[0] == 0
+    fresh = tmp_path / "v4"
+    _run(capsys, "cache", "warm", spec, "--cache-dir", str(fresh))
+    v4 = (fresh / name).read_bytes()
+    assert v4[4] == 4
+    assert len(v4) < 0.55 * (tmp_path / name).stat().st_size
+
+
+def test_cache_element_swapped_for_its_w0_partner_exits_4(capsys, tmp_path):
+    # under a digest that matches, so only the fold's certificates can
+    # tell: B3's element 5 (length 2) for w0 times it (length 7)
+    _run(capsys, "cache", "warm", "B3", "--cache-dir", str(tmp_path))
+    raw = (tmp_path / "B3.grp").read_bytes()
+    head, payload = raw[:-32 - 24 * 18], raw[-24 * 18:]
+    system = roots.system_from_spec("B3")
+    w0 = group.longest_element(system)
+    x = payload[5 * 18:6 * 18]
+    forged = payload[:5 * 18] + group._compose(w0, x) + payload[6 * 18:]
+    (tmp_path / "B3.grp").write_bytes(head + hashlib.sha256(forged).digest()
+                                      + forged)
+    code, out, err = _run(capsys, "count", "B3", "--strategy", "brute",
+                          "--cache-dir", str(tmp_path))
+    assert (code, out) == (4, "") and "layers of length" in err
+
+
+@pytest.mark.parametrize("scope", ["lemma", "appendices"])
+def test_verify_degree_past_the_cap_is_a_usage_error(capsys, scope):
+    code, out, err = _run(capsys, "verify", scope, "--degree",
+                          str(MAX_DEGREE + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: degree must be at most 1,000, got {MAX_DEGREE + 1}\n"
+    # the cap itself is valid: appendices does not read the degree
+    assert _run(capsys, "verify", "appendices", "--degree",
+                str(MAX_DEGREE))[0] == 0
+

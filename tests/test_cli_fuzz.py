@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from coxtraces.cli import _cache_path, main
 from coxtraces.roots import MAX_CLASSICAL_RANK
+from coxtraces.verify import MAX_DEGREE
 
 VALID = ["A0", "D2", "D3", "I2(129)", "I2(300)"]
 # "" and "+" give empty specs, empty factors and stray separators
@@ -35,6 +36,9 @@ INVALID = ["E5", "E9", "I2(0)", "I2(2)", "B0", "D0",
 # examples get past the parser
 SPECS = st.one_of(*(st.lists(st.sampled_from(pool), min_size=1, max_size=3)
                     for pool in (VALID + INVALID, VALID))).map("+".join)
+# five factors at the rank bound: a |W| of about 417,000 digits, past the
+# 170,000 that a spec may have; printing it once took unbounded time
+PAST_DIGIT_BOUND = "+".join([f"B{MAX_CLASSICAL_RANK}"] * 5)
 BUDGETS = st.sampled_from(["-1", "0", str(10 ** 7)])
 # "yaml" is not a format: argparse refuses it
 FORMATS = st.sampled_from(["markdown", "csv", "json", "yaml"])
@@ -77,6 +81,7 @@ def run(*argv):
 
 @FUZZ
 @given(SPECS, BUDGETS)
+@example(PAST_DIGIT_BOUND, str(10 ** 7))
 def test_count_exits_are_documented_and_brute_agrees(spec, budget):
     code, out, _ = run("count", spec, "--budget", budget, "--format", "json")
     brute_code, brute_out, _ = run("count", spec, "--budget", budget,
@@ -92,16 +97,22 @@ def test_count_exits_are_documented_and_brute_agrees(spec, budget):
 
 @FUZZ
 @given(SPECS, BUDGETS, FORMATS)
+@example(PAST_DIGIT_BOUND, str(10 ** 7), "json")
 def test_classes_exits_are_documented(spec, budget, fmt):
     run("classes", spec, "--budget", budget, "--format", fmt)
 
 
-# the lemma costs O(degree^3): small degrees only
-VERIFY_OPTIONS = st.tuples(
-    st.sampled_from(["-1", "0", "1", "40", "120"]).map(
-        lambda value: ("--degree", value)),
-    st.sampled_from(["-1", "0", "3"]).map(lambda value: ("--trials", value)),
-    optional("--seed", ["0", "1", "-3"]), optional("--budget", ["-1", "0"]))
+def verify_options(degrees):
+    return st.tuples(
+        st.sampled_from(degrees).map(lambda value: ("--degree", value)),
+        st.sampled_from(["-1", "0", "3"]).map(lambda value: ("--trials", value)),
+        optional("--seed", ["0", "1", "-3"]), optional("--budget", ["-1", "0"]))
+
+
+# the lemma costs O(degree^3): small degrees, and one past the cap (refused
+# at once); the other suites do not read --degree, so they take the cap too
+SMALL_DEGREES = ["-1", "0", "1", "40", "120", str(MAX_DEGREE + 1)]
+CAP_DEGREES = SMALL_DEGREES + [str(MAX_DEGREE - 1), str(MAX_DEGREE)]
 
 
 def check_verify(scope, options):
@@ -112,15 +123,19 @@ def check_verify(scope, options):
 
 
 @FUZZ
-@given(VERIFY_OPTIONS)
+@given(verify_options(SMALL_DEGREES))
 @example((("--degree", "-1"), ("--trials", "0"), (), ()))
+@example((("--degree", str(MAX_DEGREE + 1)), ("--trials", "0"), (), ()))
+@example((("--degree", "40"), ("--format", "json"), (), ()))
 def test_verify_lemma_exits_are_documented_and_exit_0_passes(options):
     check_verify("lemma", options)
 
 
 @FUZZ_VERIFY
-@given(st.sampled_from(["theorems", "appendices"]), VERIFY_OPTIONS)
+@given(st.sampled_from(["theorems", "appendices"]), verify_options(CAP_DEGREES))
 @example("theorems", (("--degree", "0"), ("--trials", "-1"), (), ()))
+@example("appendices", (("--degree", str(MAX_DEGREE)), ("--trials", "0"), (), ()))
+@example("appendices", (("--degree", str(MAX_DEGREE + 1)), ("--trials", "0"), (), ()))
 def test_verify_suites_exits_are_documented_and_exit_0_passes(scope,
                                                               options):
     check_verify(scope, options)
@@ -135,7 +150,7 @@ def test_table_exits_are_documented(which, fmt, budget):
 
 # cache files of these are warmed once, then read, rewritten and tampered
 # with; every read from a cache must give the cold output or exit 4
-WARMED = ["A2", "B3", "I2(5)"]
+WARMED = ["A1", "A2", "B3", "I2(5)"]
 
 
 def reads(spec, *where):
@@ -164,6 +179,8 @@ CACHE_ACTIONS = st.lists(st.tuples(
 
 @FUZZ_FEW
 @given(CACHE_ACTIONS, st.booleans())
+@example([("list", (), ("--format", "json")), ("warm", ("A2",), ("--format", "csv"))],
+         True)
 def test_cache_exits_are_documented_and_a_warm_cache_reads_cold(
         warmed, actions, with_dir):
     with tempfile.TemporaryDirectory() as cache:

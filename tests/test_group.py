@@ -18,19 +18,23 @@ from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
                              generate_group, load_group, longest_element,
                              save_group, shared_group)
 from coxtraces.linalg import CertificateError, Matrix
-from coxtraces.roots import closure, orbits, system_from_spec, system_order
+from coxtraces.roots import closure, system_from_spec, system_order
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """g applied after h."""
     assert g.group is h.group
-    perms = g.group.perms
-    return GroupElement(g.group, g.group.index[_compose(perms[g.index],
-                                                        perms[h.index])])
+    group = g.group
+    return GroupElement(group, group.id_of(_compose(group.perm(g.index),
+                                                    group.perm(h.index))))
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    return GroupElement(g.group, g.group.index[_invert(g.group.perms[g.index])])
+    return GroupElement(g.group, g.group.id_of(_invert(g.group.perm(g.index))))
+
+
+def elements(group):
+    return [group.perm(i) for i in range(group.order)]
 
 
 def generators(group):
@@ -102,14 +106,19 @@ def test_mirror_gives_the_full_bfs_set_with_the_lower_ids(label):
     system = system_from_spec(label)
     group = generate_group(system)
     full, _, layers = _full_bfs(system)
-    assert set(group.perms) == set(full)
+    assert sorted(elements(group)) == sorted(full)
+    assert [group.id_of(p) for p in elements(group)] == list(range(group.order))
+    # the ids of the lower half, in BFS order, are the BFS ranks' elements
     line = sum(layers[:len(system.roots) // 4 + 1])
-    assert group.perms[:line] == full[:line]
-    # the upper layers are w0 times the lower ones, longest last
-    w0 = longest_element(system)
-    assert group.perms[-1] == w0
-    assert group.perms[line:] == sorted(
-        group.perms[line:], key=lambda p: group_module._length(system, p))
+    assert [group.perm(i) for i in group._lower] == full[:line]
+    # the fold: ids below |W|/2 send beta to a positive root, and the id
+    # |W|/2 above is w0 times the same element
+    if system.roots:
+        half, w0 = group.order // 2, _table(longest_element(system))
+        beta, positive = system.simple_root_indices[0], system.positive
+        for i in range(half):
+            assert positive[group.perm(i)[beta]]
+            assert group.perm(i + half) == group.perm(i).translate(w0)
 
 
 _LONGEST_FACTORS = ([f"A{n}" for n in range(1, 9)]
@@ -308,7 +317,7 @@ def test_minus_identity_detection_matches_classification():
         group = shared_group(system)
         expected = all(f.contains_minus_identity for f in system.factors)
         assert contains_minus_identity(system) == expected, label
-        in_group = system.trivial_dims == 0 and system.negation in group.index
+        in_group = system.trivial_dims == 0 and system.negation in group
         assert in_group == expected, label
 
 
@@ -316,7 +325,7 @@ def test_minus_identity_gone_once_a_fixed_line_exists():
     system = system_from_spec("A1+A0")
     assert not contains_minus_identity(system)
     # the roots alone cannot see the fixed line: -1 on them is in W
-    assert system.negation in generate_group(system).index
+    assert system.negation in generate_group(system)
 
 
 def test_determinant_tracks_word_parity():
@@ -329,11 +338,22 @@ def test_determinant_tracks_word_parity():
     assert compose(g, a).matrix().det() == ring.integer(-1)
 
 
+def _orbits_by_closure(group, walk):
+    """Conjugation orbits under the walk set, as id sets: the closure of
+    each element that no earlier orbit holds."""
+    seen, found = set(), []
+    for i in range(group.order):
+        if i not in seen:
+            orbit = {group.id_of(y) for y in closure(
+                [group.perm(i)], [_walker(g) for g in walk], _conjugate)[0]}
+            seen |= orbit
+            found.append(orbit)
+    return found
+
+
 def _simple_reflection_walk(group):
     """The earlier class walk: conjugation by every simple reflection."""
-    gens = [(group.perms[i], _table(group.perms[i]))
-            for i in group.generator_ids]
-    return orbits(group.perms, group.index, gens, _conjugate)
+    return _orbits_by_closure(group, group.system.simple_reflections)
 
 
 @pytest.mark.parametrize("label", ["A0", "A0+A3", "B2", "G2", "I2(8)",
@@ -349,8 +369,8 @@ def test_class_walk_equals_the_simple_reflection_walk(label):
     # in the full-BFS numbering the classes come by least element, which
     # is their representative
     _, full_index, _ = _full_bfs(group.system)
-    least = [min(full_index[group.perms[i]] for i in m) for m in walk]
-    assert [full_index[group.perms[m[0]]] for m in walk] == least
+    least = [min(full_index[group.perm(i)] for i in m) for m in walk]
+    assert [full_index[group.perm(m[0])] for m in walk] == least
     assert least == sorted(least)
 
 
@@ -362,10 +382,11 @@ def test_center_has_one_sign_per_factor_with_minus_one(label):
     center = group.center()
     with_minus_one = sum(f.contains_minus_identity for f in group.system.factors)
     assert len(center) == len(set(center)) == 2 ** with_minus_one, label
-    assert center[0] == group.perms[0]
+    assert center[0] == group.perm(0)
     for z in center:
-        assert z in group.index
-        assert all(_compose(z, x) == _compose(x, z) for x in group.perms[:50])
+        assert z in group
+        assert all(_compose(z, x) == _compose(x, z)
+                   for x in elements(group)[:50])
 
 
 def test_a_non_central_shift_fails_the_centre_certificate(monkeypatch):
@@ -383,18 +404,17 @@ def test_a_non_central_shift_fails_the_centre_certificate(monkeypatch):
 def _descend_key(group, members):
     """The ranking before the pruned descent: a full _descend per
     least-length member."""
-    system, perms = group.system, group.perms
-    lengths = {i: group_module._length(system, perms[i]) for i in members}
+    system = group.system
+    lengths = {i: group_module._length(system, group.perm(i)) for i in members}
     least = min(lengths.values())
-    return min(((least, _descend(system, perms[i])[1]), i, members)
+    return min(((least, _descend(system, group.perm(i))[1]), i, members)
                for i in members if lengths[i] == least)
 
 
 @pytest.mark.parametrize("label", ["D7", "A1+H4", "F4+I2(3)"])
 def test_pruned_bfs_key_is_the_per_member_descent_key(label):
     group = shared_group(system_from_spec(label))
-    found = orbits(group.perms, group.index,
-                   [_walker(g) for g in group.walk_set()], _conjugate)
+    found, _ = group._orbits([_walker(g) for g in group.walk_set()])
     for members in found:
         assert group_module._bfs_key(group, members) == \
             _descend_key(group, members), (label, members[0])
@@ -410,11 +430,11 @@ def test_walk_set_sizes(label, size):
     assert len(walk) == size
     if size < group.system.rank:
         # the Coxeter element s_1 s_2 ... s_r, then simple reflections
-        simple = [group.perms[i] for i in group.generator_ids]
+        simple = [group.perm(i) for i in group.generator_ids]
         c = group.identity
         for g in generators(group):
             c = compose(c, g)
-        assert walk[0] == group.perms[c.index]
+        assert walk[0] == group.perm(c.index)
         assert all(g in simple for g in walk[1:])
 
 
@@ -425,8 +445,8 @@ def test_conjugate_takes_the_inverse_and_the_table():
         x, g = (GroupElement(group, rng.randrange(group.order))
                 for _ in range(2))
         expected = compose(compose(g, x), inverse(g))
-        moved = _conjugate(group.perms[x.index], _walker(group.perms[g.index]))
-        assert group.index[moved] == expected.index
+        moved = _conjugate(group.perm(x.index), _walker(group.perm(g.index)))
+        assert group.id_of(moved) == expected.index
 
 
 def test_walk_set_that_misses_a_reflection_class_is_refused(monkeypatch):
@@ -435,15 +455,24 @@ def test_walk_set_that_misses_a_reflection_class_is_refused(monkeypatch):
     # must refuse rather than print finer classes
     group = generate_group(system_from_spec("B4"))
     walk = group.walk_set()
-    long_root = group.perms[group.generator_ids[1]]
+    long_root = group.perm(group.generator_ids[1])
     assert long_root in walk
     short_only = [g for g in walk if g != long_root]
-    finer = orbits(group.perms, group.index,
-                   [_walker(g) for g in short_only], _conjugate)
+    finer = _orbits_by_closure(group, short_only)
     assert len(finer) > len(group.class_orbits())
     monkeypatch.setattr(Group, "walk_set", lambda self: short_only)
     with pytest.raises(RuntimeError, match="does not reach"):
         group.class_orbits()
+
+
+@pytest.mark.parametrize("label", ["A0", "A3", "B3", "H3", "E6", "A1+A0"])
+def test_bulk_lengths_are_the_lengths(label):
+    # one byte per element, column by column of positive roots: what
+    # load_group checks the stored layers with
+    system = system_from_spec(label)
+    perms = _full_bfs(system)[0]
+    assert group_module._lengths(system, b"".join(perms), len(perms)) == \
+        bytes(group_module._length(system, p) for p in perms)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -453,27 +482,43 @@ def test_cache_roundtrip(tmp_path):
     loaded = load_group(path)
     assert loaded.order == group.order
     assert loaded.system.label == "B2+A1"
-    assert list(loaded.perms) == list(group.perms)
+    assert elements(loaded) == elements(group)
+    assert loaded._lower == group._lower
+    assert loaded.generator_ids == group.generator_ids
+
+
+@pytest.mark.parametrize("label", ["A0", "A0+A0", "A1", "A1+A0", "A1+A1"])
+def test_cache_roundtrip_of_the_smallest_groups(tmp_path, label):
+    # the lower half of A1 is its identity alone: its simple reflection,
+    # which is w0, is not in the file
+    group = generate_group(system_from_spec(label))
+    save_group(group, tmp_path / "g.grp")
+    loaded = load_group(tmp_path / "g.grp")
+    assert elements(loaded) == elements(group)
     assert loaded.generator_ids == group.generator_ids
 
 
 def test_cache_blocks_leave_the_file_bytes_as_they_were(tmp_path,
                                                        monkeypatch):
-    # one header, the SHA-256 of the joined payload, then the payload:
+    # one header, the SHA-256 of the joined payload, then the payload,
+    # the elements of length <= floor(N/2) in the order of the full BFS:
     # the same bytes whatever the block size, and more than one block
-    group = generate_group(system_from_spec("A6"))
-    assert group.order > group_module._CACHE_BLOCK
-    label, ids = b"A6", group.generator_ids
-    payload = b"".join(group.perms)
-    expected = (struct.pack("<4sBBH", b"CXGC", 3, 1, len(label)) + label
-                + struct.pack("<IQH", 42, group.order, len(ids))
+    system = system_from_spec("A7")
+    group = generate_group(system)
+    full, _, layers = _full_bfs(system)
+    lower = full[:sum(layers[:len(system.roots) // 4 + 1])]
+    assert len(lower) > group_module._CACHE_BLOCK
+    label, ids = b"A7", range(1, 8)  # the BFS ranks of s_1, ..., s_7
+    payload = b"".join(lower)
+    expected = (struct.pack("<4sBBH", b"CXGC", 4, 1, len(label)) + label
+                + struct.pack("<IQH", 56, group.order, len(ids))
                 + struct.pack(f"<{len(ids)}I", *ids)
                 + hashlib.sha256(payload).digest() + payload)
-    save_group(group, tmp_path / "a6.grp")
-    assert (tmp_path / "a6.grp").read_bytes() == expected
+    save_group(group, tmp_path / "a7.grp")
+    assert (tmp_path / "a7.grp").read_bytes() == expected
     monkeypatch.setattr(group_module, "_CACHE_BLOCK", 7)
-    save_group(group, tmp_path / "a6_small_blocks.grp")
-    assert (tmp_path / "a6_small_blocks.grp").read_bytes() == expected
+    save_group(group, tmp_path / "a7_small_blocks.grp")
+    assert (tmp_path / "a7_small_blocks.grp").read_bytes() == expected
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -505,20 +550,47 @@ def test_cache_rejects_corruption(tmp_path):
             load_group(path)
 
 
-def test_cache_checks_what_the_digest_cannot(tmp_path):
-    group = generate_group(system_from_spec("A2"))
-    path = tmp_path / "a2.grp"
+def _forge(group, path, k, perm):
+    """The group's cache file with lower-half element k replaced by perm
+    under a digest that matches."""
     save_group(group, path)
-    head = path.read_bytes()[:-32 - 6 * 6]   # the header before the digest
-    perms, g = list(group.perms), group.generator_ids[0]
-    # a generator that is not s_0, and an element stored twice, each with
-    # a digest that matches
-    for k, perm, message in ((g, perms[g][::-1], "simple reflections"),
-                             (5, perms[0], "repeats")):
-        payload = b"".join(perms[:k] + [perm] + perms[k + 1:])
-        path.write_bytes(head + hashlib.sha256(payload).digest() + payload)
+    lower = [group.perm(i) for i in group._lower]
+    head = path.read_bytes()[:-32 - len(b"".join(lower))]  # before the digest
+    payload = b"".join(lower[:k] + [perm] + lower[k + 1:])
+    path.write_bytes(head + hashlib.sha256(payload).digest() + payload)
+    return lower
+
+
+def test_cache_checks_what_the_digest_cannot(tmp_path):
+    # B3: layers 1, 3, 5, 7, 8 up to length floor(9/2) = 4
+    group = generate_group(system_from_spec("B3"))
+    path = tmp_path / "b3.grp"
+    lower = [group.perm(i) for i in group._lower]
+    out_of_range = bytes([18]) + lower[5][1:]   # B3 has 18 roots
+    for k, perm, message in ((1, lower[1][::-1], "simple reflections"),
+                             (5, lower[0], "layers of length"),
+                             (5, out_of_range, "layers of length"),
+                             (5, lower[4], "repeats")):  # both of length 2
+        _forge(group, path, k, perm)
         with pytest.raises(CacheFormatError, match=message):
             load_group(path)
+
+
+@pytest.mark.parametrize("label, k", [("B3", 5), ("B3", 23), ("A3", 5),
+                                      ("A3", 12), ("H3", 59)])
+def test_cache_element_swapped_for_its_w0_partner_is_refused(tmp_path, label,
+                                                            k):
+    # w0 x is stored exactly when x is not, so the fold alone cannot tell
+    # them apart; below the middle length w0 x is too long, and in the
+    # middle (A3, N = 6: lengths 3 and 3) it is stored twice
+    group = generate_group(system_from_spec(label))
+    w0 = longest_element(group.system)
+    path = tmp_path / "forged.grp"
+    lower = _forge(group, path, k, _compose(w0, group.perm(group._lower[k])))
+    middle = group_module._length(group.system, lower[k]) * 2 == len(w0) // 2
+    with pytest.raises(CacheFormatError,
+                       match="repeats" if middle else "layers of length"):
+        load_group(path)
 
 
 def test_cache_of_a_system_past_the_ring_limit_is_refused(tmp_path):
@@ -546,17 +618,26 @@ def test_cache_written_by_version_1_is_refused(tmp_path):
         load_group(path)
 
 
-def test_a_fresh_cache_file_carries_version_3(tmp_path):
-    # version 3 marks the w0-mirror order above the mirror line, so that
-    # a reader of version 2 only refuses such a file
-    path = tmp_path / "b3.grp"
-    save_group(generate_group(system_from_spec("B3")), path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"CXGC" and raw[4] == 3
-    # the same payload under a version 2 header loads as well
-    path.write_bytes(raw[:4] + b"\x02" + raw[5:])
-    assert load_group(path).perms == generate_group(
-        system_from_spec("B3")).perms
+def test_a_fresh_cache_file_carries_version_4(tmp_path):
+    # version 4 stores the lower half only; a version 3 file of the same
+    # group (all of W, the lower half first) loads to the same group, at
+    # about twice the bytes
+    system = system_from_spec("B3")
+    group = generate_group(system)
+    save_group(group, tmp_path / "b3.grp")
+    raw = (tmp_path / "b3.grp").read_bytes()
+    assert raw[:4] == b"CXGC" and raw[4] == 4
+    lower = [group.perm(i) for i in group._lower]
+    upper = [p for p in elements(group) if p not in lower]
+    payload = b"".join(lower + upper)
+    head = raw[:-32 - 18 * len(lower)]
+    (tmp_path / "v3.grp").write_bytes(head[:4] + b"\x03" + head[5:]
+                                      + hashlib.sha256(payload).digest()
+                                      + payload)
+    loaded = load_group(tmp_path / "v3.grp")
+    assert elements(loaded) == elements(group)
+    assert loaded._lower == group._lower
+    assert len(raw) < 0.55 * (tmp_path / "v3.grp").stat().st_size
 
 
 def test_shared_group_memoizes():

@@ -394,10 +394,10 @@ def test_highest_h3_root_reflection_has_golden_entries():
               key=lambda r: sum(_field(system, system.roots[r])))
     assert any(y for _, y in system.roots[top])
     w = next(w for w in range(group.order)
-             if group.perms[w][system.simple_root_indices[0]] == top)
-    s0 = group.perms[group.generator_ids[0]]
-    m = group.span_matrix_of(group.index[_conjugate(s0,
-                                                    _walker(group.perms[w]))])
+             if group.perm(w)[system.simple_root_indices[0]] == top)
+    s0 = group.perm(group.generator_ids[0])
+    m = group.span_matrix_of(group.id_of(_conjugate(s0,
+                                                    _walker(group.perm(w)))))
     assert m * m == Matrix.identity(3, ring)
     assert m.det() == ring.integer(-1)
     assert any(y for row in m.rows for _, y in row)
