@@ -118,28 +118,23 @@ def _cache_path(cache_dir: str, label: str) -> str:
     return os.path.join(cache_dir, f"{safe}.grp")
 
 
-def _generate(args, factors, budget: int):
-    """Enumerate the group; the refusals come before any root is built."""
+def _group(args, factors, budget: int, cached: bool = True):
+    """The group from the cache directory if it holds one (and cached),
+    else its chain.  The refusals come first, before any root is built,
+    and hold for a cached group too: the class walk enumerates W."""
     check_enumerable(factors, budget, args.heavy,
                      args.unsupported_e8_enumeration)
+    cache_dir, label = _effective_cache_dir(args), system_label(factors)
+    path = cache_dir and _cache_path(cache_dir, label)
+    if cached and path and os.path.exists(path):
+        group = load_group(path)
+        if group.system.label != label:
+            raise CacheFormatError(
+                f"{path} holds {group.system.label}, not {label}")
+        return group
     return generate_group(build_system(factors), budget=budget,
                           heavy=args.heavy,
                           allow_e8=args.unsupported_e8_enumeration)
-
-
-def _load_or_generate(args, factors, budget: int):
-    """The group from the cache directory if it holds one, else enumerated."""
-    cache_dir = _effective_cache_dir(args)
-    label = system_label(factors)
-    if cache_dir:
-        path = _cache_path(cache_dir, label)
-        if os.path.exists(path):
-            group = load_group(path)
-            if group.system.label != label:
-                raise CacheFormatError(
-                    f"{path} holds {group.system.label}, not {label}")
-            return group
-    return _generate(args, factors, budget)
 
 
 # -- commands ----------------------------------------------------------------
@@ -150,7 +145,7 @@ def cmd_count(args) -> int:
     factors = parse_system_spec(args.system)
     started = time.perf_counter()
     if args.strategy == "brute":
-        result = count_brute_force(_load_or_generate(args, factors, budget))
+        result = count_brute_force(_group(args, factors, budget))
     else:
         result = count(factors, strategy=args.strategy)
     elapsed = time.perf_counter() - started
@@ -166,7 +161,7 @@ def cmd_classes(args) -> int:
     budget = _effective_budget(args)
     factors = parse_system_spec(args.system)
     started = time.perf_counter()
-    group = _load_or_generate(args, factors, budget)
+    group = _group(args, factors, budget)
     classes = conjugacy_classes(group)
     elapsed = time.perf_counter() - started
     header = ("class", "size", "det", "char_poly", "has_plus_one", "has_minus_one")
@@ -294,8 +289,8 @@ def cmd_cache(args) -> int:
     if args.action == "warm":
         if not args.system:
             raise SpecParseError("cache warm needs a system spec")
-        group = _generate(args, parse_system_spec(args.system),
-                          _effective_budget(args))
+        group = _group(args, parse_system_spec(args.system),
+                       _effective_budget(args), cached=False)
         os.makedirs(cache_dir, exist_ok=True)
         path = _cache_path(cache_dir, group.system.label)
         save_group(group, path)
@@ -315,12 +310,14 @@ def cmd_cache(args) -> int:
                     version = fh.read(5)[4]  # after the 4-byte magic
                 print(f"{group.system.label}  order={group.order}  "
                       f"bytes={os.path.getsize(path)}  version={version}")
-            except CacheFormatError as exc:
+            except (CacheFormatError, OSError) as exc:  # OSError: not a file
                 print(f"{name}  UNREADABLE ({exc})")
         return EXIT_OK
-    for name in names:  # clear
-        os.remove(os.path.join(cache_dir, name))
-    print(f"removed {len(names)} cached group(s)")
+    paths = [p for p in (os.path.join(cache_dir, n) for n in names)
+             if os.path.isfile(p)]
+    for path in paths:  # clear: regular files only
+        os.remove(path)
+    print(f"removed {len(paths)} cached group(s)")
     return EXIT_OK
 
 

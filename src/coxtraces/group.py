@@ -1,31 +1,34 @@
-"""Generation of finite reflection groups: half a BFS, folded by w0.
+"""Finite reflection groups, ranked through their stabilizer chain.
 
 Elements are permutations of the root list, one byte per root (so at
-most 256 roots), and composition is a single bytes.translate call.  A
-BFS by left multiplication with the simple reflections, in simple-root
-order, finds the elements of length 0..floor(N/2), N = |R|/2; the
-longest element w0 maps length k onto N - k (Bjorner-Brenti 2.3.2), so
-with their w0 images they are W.
-
-Only half of W is stored.  w0 sends every positive root to a negative
-one, so for the first simple root beta exactly one of w and w0 w sends
-beta to a positive root: the fold keeps that one, |W|/2 elements, and
-one byte read, w[beta], says which of a pair an element is.  Id i < |W|/2
-is stored element i, id i + |W|/2 is w0 times it.  The ids of the
-lower half are kept in BFS order, which fixes the class order.
+most 256 roots), and composition is a single bytes.translate call.  No
+element of W is stored.  The simple roots alpha_1..alpha_r are a base:
+an element fixing them all fixes their span.  The pointwise stabilizer
+of alpha_1..alpha_k is generated by the reflections it contains
+(Steinberg 1964; Humphreys, Reflection Groups and Coxeter Groups, Thm
+1.12), so level k of the chain is one closure of alpha_(k+1) under those
+reflections, with a transversal, and no Schreier-Sims is needed.  Each
+w is u_1 u_2 ... u_r, one transversal element per level; its id is the
+mixed radix of their orbit positions, read off the r base images
+w(alpha_i) (the identity is id 0), and an id gives back its element by
+r compositions.  The tail levels, of order at most _TAIL_ORDER together,
+are merged into one dict keyed by the base images.  Certified: the orbit
+lengths multiply to |W| from the degrees.  Each level's group lies in
+the true stabilizer, so a missing generator makes the product short.
 
 Conjugacy classes are walked modulo the certified centre of W: z C is
 a class for every central z, so once the walk has found C it takes each
 z C whole, with no conjugation.  The centre is the product of the
-factor centres, each {1, -1 on that factor} or trivial.
+factor centres, each {1, -1 on that factor} or trivial.  The classes
+come in the order of the full BFS by left multiplication (_bfs_key),
+which nothing builds.
 
 Roots are coordinate vectors in the simple basis over the system's ring
 Z[2cos(pi/N)], so the matrix of an element on the span of the roots has
-the images of the simple roots as its columns; no other matrix model
-exists.  Every finite Coxeter group has such a model.  Whether a system
-is enumerated at all is decided from the factor formulas
-(check_enumerable) before any root is built: the limits are 256 roots,
-N <= 128, the budget and the heavy threshold.
+the images of the simple roots as its columns.  Whether a system is
+enumerated at all is decided from the factor formulas (check_enumerable)
+before any root is built: the limits are 256 roots, N <= 128, the
+budget and the heavy threshold.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ import struct
 from array import array
 from collections import namedtuple
 from functools import reduce
-from itertools import compress, count
-from operator import add, itemgetter, not_
+from itertools import count
+from math import prod
+from operator import itemgetter
 
 from .linalg import CertificateError, Matrix
 from .roots import (BudgetExceededError, RootSystem, checked_ring_index,
@@ -51,11 +55,14 @@ _E8_ORDER = 696_729_600
 
 _MAX_ROOTS = 256  # one byte per root
 
+# the chain's last levels are merged into one dict up to this order
+_TAIL_ORDER = 5040
+
 _CACHE_MAGIC = b"CXGC"
-# version 4 stores the elements of length <= floor(N/2) in BFS order;
-# versions 2 and 3 store all of W, and their first elements are those
-CACHE_VERSION = 4
-_CACHE_BLOCK = 4096  # elements hashed and written per join
+# version 5 stores the chain's orbit lengths; versions 2-4 stored the
+# elements of length <= floor(N/2) in BFS order (4), or all of W with
+# those first (2 and 3)
+CACHE_VERSION = 5
 
 
 class GroupElement(namedtuple("GroupElement", "group index")):
@@ -73,15 +80,41 @@ class GroupElement(namedtuple("GroupElement", "group index")):
 
 
 class Group:
-    """A fully enumerated reflection group over a root system, stored as
-    the half that sends beta to a positive root (see the module notes)."""
+    """A reflection group over a root system, held as its certified
+    stabilizer chain (see the module notes)."""
 
-    def __init__(self, system: RootSystem, stored, index, lower, w0):
+    def __init__(self, system: RootSystem):
         self.system = system
-        self.order = 2 * len(stored) if system.roots else 1
-        self._stored, self._index, self._lower, self._w0 = stored, index, lower, w0
-        self._beta = system.simple_root_indices[0] if system.roots else None
-        self.generator_ids = tuple(map(self.id_of, system.simple_reflections))
+        base, n = system.simple_root_indices, len(system.roots)
+        self._base, self._identity = bytes(base), bytes(range(n))
+        simple = system.simple_reflections
+        reflections = closure(simple, [_walker(s) for s in simple],
+                              _conjugate)[0]
+        levels = [_transversal(self._identity, a,
+                               _fixing(reflections, base[:k]))
+                  for k, a in enumerate(base)]
+        self.lengths = tuple(map(len, levels))
+        self.order, expected = prod(self.lengths), system_order(system.factors)
+        if self.order != expected:
+            raise CertificateError(
+                f"the stabilizer chain of {system.label} has orbit lengths "
+                f"{list(self.lengths)}, whose product {self.order} is not "
+                f"|W| = {expected} from the degrees")
+        # for perm: the last level first, transversal elements as tables
+        self._up = [[_table(u) for u in level] for level in reversed(levels)]
+        cut = next(k for k in range(len(levels) + 1)
+                   if prod(self.lengths[k:]) <= _TAIL_ORDER)
+        # for _rank: per head level, each orbit root's share of the id and
+        # its transversal element's inverse table; then the tail's dict
+        self._head = [{u[a]: (d * prod(self.lengths[k + 1:]),
+                              _table(_invert(u)))
+                       for d, u in enumerate(level)}
+                      for k, (a, level) in enumerate(zip(base[:cut], levels))]
+        tail = [self._base]
+        for tables in self._up[:len(levels) - cut]:
+            tail = [x.translate(t) for t in tables for x in tail]
+        self._tail = dict(zip(tail, count()))
+        self.generator_ids = tuple(map(self.id_of, simple))
 
     # -- elements ---------------------------------------------------------
 
@@ -90,21 +123,46 @@ class Group:
         return GroupElement(self, 0)
 
     def perm(self, i: int) -> bytes:
-        """Element i as a root permutation."""
-        half = len(self._stored)
-        if i < half:
-            return self._stored[i]
-        return self._stored[i - half].translate(self._w0)
+        """Element i as a root permutation: u_1 u_2 ... u_r for the digits
+        of i."""
+        p = self._identity
+        for tables in self._up:
+            i, d = divmod(i, len(tables))
+            p = p.translate(tables[d])
+        if i:
+            raise IndexError(f"no element {i} in {self.system.label}")
+        return p
 
     def id_of(self, perm: bytes) -> int:
-        """The id of a root permutation; KeyError unless it lies in W."""
-        if not perm or self.system.positive[perm[self._beta]]:
-            return self._index[perm]
-        return self._index[perm.translate(self._w0)] + len(self._stored)
+        """The id of an element of W, read off its base images alone (see
+        _rank); whether perm lies in W is `perm in group`."""
+        return self._rank(self._base.translate(_table(perm)))
+
+    def _rank(self, images: bytes) -> int:
+        """The id of the element of W with these base images: per head
+        level the share of the orbit root at alpha_k, then the images
+        under that transversal element's inverse, which fixes the earlier
+        base points.  An image outside its level's orbit, as of no element
+        of W, is a CertificateError."""
+        rank, k = 0, 0
+        try:
+            for level in self._head:
+                share, down = level[images[k]]
+                rank += share
+                images = images.translate(down)
+                k += 1
+            return rank + self._tail[images]
+        except KeyError:
+            raise CertificateError(
+                f"base images {list(images)} lie outside the orbits of the "
+                f"stabilizer chain of {self.system.label}, so they are not "
+                "those of an element of W") from None
 
     def __contains__(self, perm) -> bool:
-        # translate(None) leaves the one element of a rootless group
-        return perm in self._index or perm.translate(self._w0) in self._index
+        try:
+            return self.perm(self.id_of(perm)) == perm
+        except CertificateError:
+            return False
 
     # -- matrices ------------------------------------------------------------
 
@@ -139,72 +197,54 @@ class Group:
     def class_orbits(self):
         """Conjugacy classes as id arrays, each starting with its
         representative: orbits under conjugation by the certified walk set,
-        by least element in the full BFS numbering.  A class with an
-        element of length <= floor(N/2) keeps its place by the first one
-        in BFS order; classes with none follow, ranked by _bfs_key."""
+        in the full BFS order of their members that BFS finds first."""
         walk = self.walk_set()
         _certify_walk_set(walk, self.system.simple_reflections)
-        try:
-            found, label = self._orbits([_walker(g) for g in walk],
-                                        self.center()[1:])
-        except KeyError as exc:  # only a tampered cache file gets here
-            raise CertificateError(f"a conjugate is not among the stored "
-                                   f"elements of {self.system.label}, so "
-                                   "they are not W") from exc
-        first, lower = {}, self._lower  # class -> its first lower element
-        for k in range(0, len(lower), 4096):  # in blocks, until all are met
-            seq = array("I", map(label.__getitem__, lower[k:k + 4096]))
-            first.update((c, lower[k + seq.index(c)])
-                         for c in dict.fromkeys(seq) if c not in first)
-            if len(first) == len(found):
-                break
-        upper = sorted(_bfs_key(self, m) for c, m in enumerate(found, 1)
-                       if c not in first)
-        ranked = ([(rep, found[c - 1]) for c, rep in first.items()]
-                  + [(rep, m) for _, rep, m in upper])
-        for rep, m in ranked:  # the representative first
-            k = m.index(rep)
-            m[0], m[k] = rep, m[0]
-        return [m for _, m in ranked]
+        found = self._orbits([_walker(g) for g in walk], self.center()[1:])[0]
+        return [m for _, m in sorted(found, key=itemgetter(0))]
 
     def _orbits(self, walkers, shifts=()):
-        """Orbits under the conjugations of _walker pairs, as id arrays, and
-        the orbit number (from 1) of each id.  The walk keeps the orbit's
-        elements as bytes, so each is looked up once, when first met, and
-        no id is decoded.  Each shift is a central z: z C is an orbit,
-        taken whole with one translate each."""
-        stored, index, w0, beta = self._stored, self._index, self._w0, self._beta
-        half, order, positive = len(stored), self.order, self.system.positive
-        # z w0^e s = w0^e z s, and z s is stored, or w0 z s is when z
-        # negates the factor of beta
-        moves = [(_table(z), 0) if positive[z[beta]] else (_table(z.translate(w0)), half)
-                 for z in shifts]
-        label, found = array("I", bytes(4 * order)), []
-        for seed in range(order):
+        """Orbits under the conjugations of _walker pairs, as (_bfs_key,
+        ids with the representative first) pairs, and the orbit number
+        (from 1) of each id.  An orbit's elements are joined in one payload,
+        which is also the walk's queue, and told apart by their base images,
+        all a rank reads: those of g x g^-1 take two translates of r bytes.
+        Each shift is a central z: z C is an orbit, one translate of C."""
+        system, base, n = self.system, self._base, len(self.system.roots)
+        walkers = [(inverse, base.translate(_table(inverse)), table)
+                   for inverse, table in walkers]
+        moves = [_table(z) for z in shifts]
+        label, found = array("I", bytes(4 * self.order)), []
+
+        def take(payload, keys):
+            key, k = _bfs_key(system, payload, len(keys))
+            ids = array("I", map(self._rank, keys))
+            ids[0], ids[k] = ids[k], ids[0]
+            found.append((key, ids))
+            for i in ids:
+                label[i] = len(found)
+
+        for seed in range(self.order):
             if label[seed]:
                 continue
-            c = label[seed] = len(found) + 1
-            x = self.perm(seed)
-            members, stack, walked = array("I", [seed]), [x], {x}
-            while stack:
-                x = stack.pop()
-                table_x = x.ljust(256, b"\x00")
-                for inverse, table in walkers:  # y = g x g^-1, as _conjugate
-                    y = inverse.translate(table_x).translate(table)
-                    if y not in walked:
-                        walked.add(y)
-                        stack.append(y)
-                        i = index[y] if positive[y[beta]] else index[y.translate(w0)] + half
-                        label[i] = c
-                        members.append(i)
-            found.append(members)
-            for table, flip in moves:
-                image = array("I", [(index[stored[i % half].translate(table)]
-                                     + i - i % half + flip) % order for i in members])
-                if not label[image[0]]:  # else the orbit itself, or one taken
-                    found.append(image)
-                    for i in image:
-                        label[i] = len(found)
+            payload = bytearray(self.perm(seed))
+            keys = [base.translate(_table(payload))]
+            seen, at = set(keys), 0
+            while at < len(payload):
+                table_x = payload[at:at + n].ljust(256, b"\x00")
+                at += n
+                for inverse, base_inverse, table in walkers:  # g x g^-1
+                    key = base_inverse.translate(table_x).translate(table)
+                    if key not in seen:
+                        seen.add(key)
+                        keys.append(key)
+                        payload += inverse.translate(table_x).translate(table)
+            del seen
+            take(payload, keys)
+            for table in moves:  # z x has the base images of x under z
+                if not label[self._rank(keys[0].translate(table))]:
+                    take(payload.translate(table),
+                         [key.translate(table) for key in keys])
         return found, label
 
     def walk_set(self) -> list:
@@ -300,26 +340,47 @@ def _lengths(system, payload: bytes, elements: int) -> bytes:
                for r in range(n) if positive[r]).to_bytes(elements, "big")
 
 
-def _bfs_key(group: Group, members) -> tuple:
-    """((length, word), id, members) of the member the full BFS finds
-    first: least length, then least lex-first reduced word of w^-1 (the
-    BFS reads its frontier in id order and tries s_0, s_1, ... in turn).
-    The least-length members descend together as _descend does, and only
-    those taking the least letter go on."""
-    system = group.system
-    positive, simple = system.positive, system.simple_root_indices
-    lengths = {i: _length(system, group.perm(i)) for i in members}
-    least = min(lengths.values())
-    alive = {i: group.perm(i) for i in members if lengths[i] == least}
+def _bfs_key(system, payload, count: int) -> tuple:
+    """((length, word), k) for the element k of the joined payload that
+    the full BFS finds first: least length, then least lex-first reduced
+    word of w^-1 (the BFS reads its frontier in id order and tries s_0,
+    s_1, ... in turn).  The lengths come in bulk (_lengths); the
+    least-length elements descend together as _descend does, each step
+    reading the first simple root w sends to a negative root off two
+    translates, and only those taking the least letter go on."""
+    n, lengths = len(system.roots), _lengths(system, payload, count)
+    base, positive = bytes(system.simple_root_indices), _table(system.positive)
+    least = min(lengths)
+    alive = [(k, payload[k * n:k * n + n])
+             for k, length in enumerate(lengths) if length == least]
     word = ()
     for _ in range(least):
-        first = {i: next(k for k, a in enumerate(simple) if not positive[w[a]])
-                 for i, w in alive.items()}
-        k = min(first.values())
-        alive = {i: _compose(w, system.simple_reflections[k])
-                 for i, w in alive.items() if first[i] == k}
+        first = [base.translate(_table(w)).translate(positive).find(0)
+                 for _, w in alive]
+        k = min(first)
+        alive = [(i, _compose(w, system.simple_reflections[k]))
+                 for (i, w), f in zip(alive, first) if f == k]
         word += (k,)
-    return (least, word), min(alive), members
+    return (least, word), alive[0][0]
+
+
+def _fixing(reflections, points) -> list:
+    """The reflections fixing every point, as tables: s_g fixes alpha_i
+    exactly when g is orthogonal to alpha_i."""
+    return [_table(g) for g in reflections if all(g[p] == p for p in points)]
+
+
+def _transversal(identity: bytes, point: int, tables) -> list:
+    """For each root of the orbit of point under the group the tables
+    generate, in BFS order (point first), an element of that group
+    sending point to it: the identity, then g after the element of the
+    root g was applied to."""
+    across = {point: identity}
+
+    def step(x, table):
+        across.setdefault(table[x], across[x].translate(table))
+        return table[x]
+    return [across[x] for x in closure([point], tables, step)[0]]
 
 
 def _reach(walk, simple) -> dict:
@@ -373,68 +434,10 @@ def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
 
 def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
                    heavy: bool = False, allow_e8: bool = False) -> Group:
-    """Enumerate the reflection group of a root system, after the refusals
-    of check_enumerable.  The BFS layers of length 0..floor(N/2) are the
-    lower coefficients of the Poincare polynomial, of degree N = |R|/2
-    (a palindrome, so the whole of it is the true one), and _fold
-    certifies the rest: the |W| elements are W."""
+    """The reflection group of a root system, after the refusals of
+    check_enumerable: its certified stabilizer chain, built in milliseconds."""
     check_enumerable(system.factors, budget, heavy, allow_e8)
-    top, half = len(system.roots) // 2, len(system.roots) // 4
-    # x.translate(_table(g)) is g after x; the BFS index is dropped at once
-    lower, layers = closure([bytes(range(len(system.roots)))],
-                            [_table(g) for g in system.simple_reflections],
-                            bytes.translate, depth=half + 1)[::2]
-    expected = _poincare(system.factors)
-    if layers != expected[:half + 1] or len(expected) != top + 1:
-        raise CertificateError(f"BFS layer sizes {layers} of {system.label} "
-                               f"are not the first coefficients of the "
-                               f"Poincare polynomial {expected} of its "
-                               f"degrees, of degree {top}")
-    return _fold(system, lower)
-
-
-def _fold(system: RootSystem, lower) -> Group:
-    """The group from its elements of length <= floor(N/2) in BFS order,
-    a list the fold takes: each x is replaced in place by the element
-    stored for its pair {x, w0 x}, the one sending beta to a positive
-    root.  Below length N/2 each pair has one element there, so the
-    stored elements keep their places; of length N/2 (N even) both do,
-    and the second one met is not stored again.  The ids of the lower
-    half are kept in BFS order.  Certified: no element of length N/2
-    comes twice, and the stored elements are |W|/2, each sending beta to
-    a positive root: as w0 is certified longest they are one of each
-    pair, so W, and no element of the lower half repeats."""
-    order = system_order(system.factors)
-    if not system.roots:  # A0 and its sums: the identity is all of W
-        return Group(system, list(lower), {lower[0]: 0}, array("I", [0]), None)
-    top, half = len(system.roots) // 2, order // 2
-    cut = len(lower) - (0 if top % 2 else _poincare(system.factors)[top // 2])
-    w0, beta = _table(longest_element(system)), system.simple_root_indices[0]
-    positive, on_beta = _table(system.positive), itemgetter(beta)
-    sides = bytes(map(on_beta, lower)).translate(positive)  # 0: w0 x stored
-    for j in compress(range(cut), map(not_, sides)):  # w0 x takes x's memory
-        lower[j] = lower[j].translate(w0)
-    middle = lower[cut:]
-    stored = lower[:cut] + list(compress(middle, sides[cut:]))
-    index = dict(zip(stored, count()))
-    ids = array("I", map(add, range(cut), map((half, 0).__getitem__, sides)))
-    kept = count(cut)
-    try:
-        ids.extend([next(kept) if s else index[x.translate(w0)] + half
-                    for x, s in zip(middle, sides[cut:])])
-    except KeyError:  # the w0 partner of an element of length N/2 is missing
-        ids = None
-    if (ids is None or len(set(middle)) != len(middle)
-            or not len(index) == len(stored) == half
-            or 0 in bytes(map(on_beta, stored)).translate(positive)):
-        raise CertificateError(f"the w0 fold of {system.label} repeats or "
-                               f"misses pairs {{w, w0 w}}: {len(index)} "
-                               f"stored, |W|/2 = {half}")
-    try:  # the simple reflections must lie in it: ids are looked up
-        return Group(system, stored, index, ids, w0)
-    except KeyError as exc:
-        raise CertificateError(f"the w0 fold of {system.label} misses a "
-                               "simple reflection") from exc
+    return Group(system)
 
 
 def longest_element(system: RootSystem) -> bytes:
@@ -491,42 +494,32 @@ class CacheFormatError(ValueError):
 
 
 def save_group(group: Group, path) -> None:
-    """Write a versioned binary snapshot: header, the SHA-256 digest of the
-    payload, then the payload: the elements of length <= floor(N/2) in
-    BFS order, which load_group folds as generate_group does.  As in every
-    version, the generator ids are the BFS ids 1..r of the simple
-    reflections.  The file is written under a temporary name and renamed
-    into place."""
+    """Write a versioned binary snapshot: the header, the orbit lengths of
+    the stabilizer chain and the SHA-256 digest of both, which load_group
+    compares with a chain rebuilt from the label.  The file is written
+    under a temporary name and renamed into place."""
     # hashlib is imported only here and in load_group: it loads OpenSSL,
     # about 4 MB of resident memory that a run without the cache never needs
     import hashlib
-    lower, label = group._lower, group.system.label.encode()
-    ids = range(1, len(group.generator_ids) + 1)
-    digest = hashlib.sha256()
+    label, lengths = group.system.label.encode(), group.lengths
+    head = (struct.pack("<4sBBH", _CACHE_MAGIC, CACHE_VERSION, 1, len(label))
+            + label
+            + struct.pack("<IQH", len(group.system.roots), group.order,
+                          len(lengths))
+            + struct.pack(f"<{len(lengths)}I", *lengths))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        # the width byte is always 1
-        fh.write(struct.pack("<4sBBH", _CACHE_MAGIC, CACHE_VERSION, 1, len(label))
-                 + label
-                 + struct.pack("<IQH", len(group.system.roots), group.order,
-                               len(ids))
-                 + struct.pack(f"<{len(ids)}I", *ids))
-        digest_at = fh.tell()
-        fh.write(bytes(32))  # the digest, once the payload is written
-        for k in range(0, len(lower), _CACHE_BLOCK):
-            block = b"".join(map(group.perm, lower[k:k + _CACHE_BLOCK]))
-            digest.update(block)
-            fh.write(block)
-        fh.seek(digest_at)
-        fh.write(digest.digest())
+        fh.write(head + hashlib.sha256(head).digest())
     os.replace(tmp, path)
 
 
 def load_group(path) -> Group:
-    """Rebuild a group from a snapshot; the root system is rebuilt from its
-    label.  The payload must match its digest, the group order, the
-    length layers of the Poincare polynomial and the simple reflections,
-    and it is folded and certified as generate_group folds its BFS."""
+    """Rebuild a group from a snapshot: its chain is rebuilt from the label.
+    A version 5 file must match its digest and the rebuilt orbit lengths.
+    An older one must match its digest, start with the identity and the
+    simple reflections, hold the length layers 0..floor(N/2) of the
+    Poincare polynomial in order, and every element must sift through the
+    chain to itself, with no repeat."""
     import hashlib  # see save_group
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -534,31 +527,29 @@ def load_group(path) -> Group:
         magic, version, width, label_len = struct.unpack_from("<4sBBH", blob, 0)
         if magic != _CACHE_MAGIC:
             raise CacheFormatError(f"{path} is not a group cache file")
-        if version not in (2, 3, CACHE_VERSION):
+        if version not in (2, 3, 4, CACHE_VERSION):
             raise CacheFormatError(f"{path} has cache version {version}, "
-                                   "expected 2, 3 or 4")
+                                   "expected 2, 3, 4 or 5")
         if width != 1:
             raise CacheFormatError(
                 f"{path} stores {width} bytes per root, expected 1")
-        offset = 8
-        label = blob[offset:offset + label_len].decode()
-        offset += label_len
-        n, order, n_gens = struct.unpack_from("<IQH", blob, offset)
+        label, offset = blob[8:8 + label_len].decode(), 8 + label_len
+        n, order, fields = struct.unpack_from("<IQH", blob, offset)
         offset += 14
-        generator_ids = list(struct.unpack_from(f"<{n_gens}I", blob, offset))
-        offset += 4 * n_gens
-        stored_digest = blob[offset:offset + 32]
-        offset += 32
+        # the generator ids (versions 2-4) or the orbit lengths (5)
+        fields = list(struct.unpack_from(f"<{fields}I", blob, offset))
+        offset += 4 * len(fields)
+        stored_digest, offset = blob[offset:offset + 32], offset + 32
         factors = parse_system_spec(label)
     except CacheFormatError:
         raise
     except (struct.error, ValueError) as exc:  # truncated, or a bad label
         raise CacheFormatError(f"{path}: unreadable header ({exc})") from exc
-    if n > _MAX_ROOTS or n != sum(f.root_count for f in factors):
+    if n != sum(f.root_count for f in factors):
         raise CacheFormatError(
             f"{path}: root count {n} does not match the {label} model")
-    try:
-        checked_ring_index(factors)
+    try:  # the walk of a loaded group must fit as a fresh one would
+        check_enumerable(factors, heavy=True)
     except BudgetExceededError as exc:
         raise CacheFormatError(f"{path}: {exc}") from exc
     if order != system_order(factors):
@@ -567,33 +558,44 @@ def load_group(path) -> Group:
             f"{system_order(factors)}")
     layers = _poincare(factors)[:n // 4 + 1]
     line = sum(layers)
-    elements = line if version == CACHE_VERSION else order
+    # version 5 stores no element, and its digest signs the header
+    elements = {4: line, CACHE_VERSION: 0}.get(version, order)
     if len(blob) - offset != elements * n:
         raise CacheFormatError(
             f"{path}: payload has {len(blob) - offset} bytes, expected "
             f"{elements} x {n}")
-    if hashlib.sha256(memoryview(blob)[offset:]).digest() != stored_digest:
-        raise CacheFormatError(f"{path}: payload does not match its digest")
-    system = system_from_spec(label)
-    payload = blob[offset:offset + line * n]
-    del blob  # the payload is a copy: free the file image before the cuts
+    payload = blob[offset:] if elements else blob[:offset - 32]
+    del blob
+    if hashlib.sha256(payload).digest() != stored_digest:
+        raise CacheFormatError(f"{path}: the file does not match its digest")
+    try:
+        group = Group(system_from_spec(label))
+    except CertificateError as exc:
+        raise CacheFormatError(f"{path}: {exc}") from exc
+    if not elements:
+        if tuple(fields) != group.lengths:
+            raise CacheFormatError(f"{path}: orbit lengths {fields} are not "
+                                   f"those of {label}, {group.lengths}")
+        return group
+    system = group.system
     # the BFS starts at the identity, then s_1, ..., s_r (not stored when
     # N = 1: A1 has only its identity below the middle)
     start = b"".join((bytes(range(n)),) + system.simple_reflections)
-    if (generator_ids != list(range(1, system.rank + 1))
+    if (fields != list(range(1, system.rank + 1))
             or payload[:len(start)] != start[:len(payload)]):
         raise CacheFormatError(f"{path}: the payload does not start with "
                                f"the identity and the simple reflections "
                                f"of {label}")
     if (payload.translate(None, bytes(range(n)))
-            or _lengths(system, payload, line)
+            or _lengths(system, payload[:line * n], line)
             != b"".join(bytes([k]) * c for k, c in enumerate(layers))):
         raise CacheFormatError(f"{path}: the stored elements are not the "
                                f"layers of length 0..{n // 4} of {label}")
-    lower = ([x for x, in struct.iter_unpack(f"{n}s", payload)] if n
-             else [b""])
-    del payload
-    try:
-        return _fold(system, lower)
-    except CertificateError as exc:
-        raise CacheFormatError(f"{path}: {exc}") from exc
+    stored = ([payload[k:k + n] for k in range(0, len(payload), n)] if n
+              else [b""])
+    if not all(map(group.__contains__, stored)):
+        raise CacheFormatError(f"{path}: a stored element is not an element "
+                               f"of W({label})")
+    if len(set(map(group.id_of, stored))) != len(stored):
+        raise CacheFormatError(f"{path}: a stored element repeats")
+    return group

@@ -218,6 +218,7 @@ def test_classes_report(capsys):
     ("H3+I2(7)", "markdown", "classes_H3+I2(7).md"),
     ("B5+A3", "csv", "classes_B5+A3.csv"),
     ("H4", "markdown", "classes_H4.md"),
+    ("A1+H4", "csv", "classes_A1+H4.csv"),
 ])
 def test_class_report_matches_golden_text(capsys, spec, fmt, golden):
     # det and char_poly of every class, byte for byte
@@ -374,7 +375,7 @@ def test_cache_warm_list_count_clear(capsys, tmp_path):
 
     code, out, _ = _run(capsys, "cache", "list", "--cache-dir", cache)
     assert code == 0
-    assert "F4  order=1152" in out and "version=4" in out
+    assert "F4  order=1152" in out and "version=5" in out
 
     code, out, _ = _run(capsys, "count", "F4", "--strategy", "brute",
                         "--cache-dir", cache, "--format", "json")
@@ -436,18 +437,60 @@ def test_corrupt_cache_is_an_io_error(capsys, tmp_path):
 
 
 def test_every_corrupted_element_of_a_cache_is_refused(capsys, tmp_path):
-    # reversing any one of the 24 stored permutations of W(B3), its
-    # elements of length <= 4, must exit 4, never crash or print a wrong
-    # count
-    cache = tmp_path / "b3"
-    _run(capsys, "cache", "warm", "B3", "--cache-dir", str(cache))
-    raw = (cache / "B3.grp").read_bytes()
-    for at in range(len(raw) - 24 * 18, len(raw), 18):   # 18 roots each
-        (cache / "B3.grp").write_bytes(
-            raw[:at] + raw[at:at + 18][::-1] + raw[at + 18:])
-        code, out, err = _run(capsys, "count", "B3", "--strategy", "brute",
-                              "--cache-dir", str(cache))
+    # reversing any one of the 60 stored permutations of a version 4 file
+    # of W(H3), its elements of length <= 7, must exit 4, never crash or
+    # print a wrong count
+    raw = (GOLDEN / "cache_v4" / "H3.grp").read_bytes()
+    for at in range(len(raw) - 60 * 30, len(raw), 30):   # 30 roots each
+        (tmp_path / "H3.grp").write_bytes(
+            raw[:at] + raw[at:at + 30][::-1] + raw[at + 30:])
+        code, out, err = _run(capsys, "count", "H3", "--strategy", "brute",
+                              "--cache-dir", str(tmp_path))
         assert (code, out) == (4, "") and "digest" in err, at
+
+
+def test_a_version_5_cache_with_a_changed_orbit_length_or_label_exits_4(
+        capsys, tmp_path):
+    # under a digest that matches, so only the chain rebuilt from the
+    # label can tell: A1+B2 has orbit lengths (2, 4, 2), and B2+A1, with
+    # the same roots and order, (4, 2, 2)
+    _run(capsys, "cache", "warm", "A1+B2", "--cache-dir", str(tmp_path))
+    path = tmp_path / "A1_B2.grp"
+    raw = path.read_bytes()
+    assert raw[8:13] == b"A1+B2" and raw[-44:-32] == struct.pack("<3I", 2, 4, 2)
+    for forged, message in (
+            (raw[:-40] + struct.pack("<I", 2) + raw[-36:-32], "orbit lengths"),
+            (raw[:8] + b"B2+A1" + raw[13:-32], "orbit lengths")):
+        path.write_bytes(forged + hashlib.sha256(forged).digest())
+        code, out, err = _run(capsys, "count", "A1+B2", "--strategy",
+                              "brute", "--cache-dir", str(tmp_path))
+        assert (code, out) == (4, "") and message in err, forged
+
+
+def test_cache_list_and_clear_pass_over_a_directory_entry(capsys, tmp_path):
+    # a directory named like a cache file is listed as unreadable, and
+    # clear removes the files beside it and reports them
+    _run(capsys, "cache", "warm", "A2", "--cache-dir", str(tmp_path))
+    (tmp_path / "x.grp").mkdir()
+    code, out, err = _run(capsys, "cache", "list", "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.startswith("A2  order=6  ")
+    assert out.splitlines()[1].startswith("x.grp  UNREADABLE (")
+    code, out, err = _run(capsys, "cache", "clear", "--cache-dir",
+                          str(tmp_path))
+    assert (code, out, err) == (0, "removed 1 cached group(s)\n", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.grp"]
+
+
+def test_a_cache_hit_needs_the_flags_a_fresh_group_needs(capsys, tmp_path):
+    # the walk enumerates W whether the group was loaded or generated, so
+    # the heavy threshold holds for a warmed E7 too
+    code, out, _ = _run(capsys, "cache", "warm", "E7", "--heavy",
+                        "--cache-dir", str(tmp_path))
+    assert code == 0 and "E7: 2903040 elements" in out
+    code, out, err = _run(capsys, "count", "E7", "--strategy", "brute",
+                          "--cache-dir", str(tmp_path))
+    assert (code, out) == (3, "") and "--heavy" in err
 
 
 def test_cache_of_another_system_is_refused(capsys, tmp_path):
@@ -495,9 +538,10 @@ def test_cache_version_2_files_of_earlier_releases_load(capsys, tmp_path, spec, 
                                         ("B2+I2(5)+A0", "B2_I25_A0.grp")])
 def test_cache_version_3_files_of_earlier_releases_load(capsys, tmp_path,
                                                         spec, name):
-    # files of format version 3, all of W with the lower half first: the
-    # fold reads that half, and the output is the cold output, byte for
-    # byte; a version 4 file of the same group is about half the bytes
+    # files of format version 3, all of W with the lower half first: every
+    # element is sifted through the chain, and the output is the cold
+    # output, byte for byte; a fresh version 5 file of the same group is
+    # under a hundred bytes
     shutil.copy(GOLDEN / "cache_v3" / name, tmp_path / name)
     assert (tmp_path / name).read_bytes()[4] == 3
     for argv in (("count", spec, "--strategy", "brute"), ("classes", spec),
@@ -505,26 +549,42 @@ def test_cache_version_3_files_of_earlier_releases_load(capsys, tmp_path,
         cold = _run(capsys, *argv)
         warm = _run(capsys, *argv, "--cache-dir", str(tmp_path))
         assert cold[:2] == warm[:2] and cold[0] == 0
-    fresh = tmp_path / "v4"
+    fresh = tmp_path / "v5"
     _run(capsys, "cache", "warm", spec, "--cache-dir", str(fresh))
-    v4 = (fresh / name).read_bytes()
-    assert v4[4] == 4
-    assert len(v4) < 0.55 * (tmp_path / name).stat().st_size
+    v5 = (fresh / name).read_bytes()
+    assert v5[4] == 5 and len(v5) < 100
+
+
+@pytest.mark.parametrize("spec, name", [("H3", "H3.grp"),
+                                        ("B2+I2(5)+A0", "B2_I25_A0.grp")])
+def test_cache_version_4_files_of_earlier_releases_load(capsys, tmp_path,
+                                                        spec, name):
+    # files of format version 4, the lower half of W in BFS order: every
+    # element is sifted through the chain, and the output is the cold
+    # output, byte for byte
+    shutil.copy(GOLDEN / "cache_v4" / name, tmp_path / name)
+    assert (tmp_path / name).read_bytes()[4] == 4
+    for argv in (("count", spec, "--strategy", "brute"), ("classes", spec),
+                 ("classes", spec, "--format", "json")):
+        cold = _run(capsys, *argv)
+        warm = _run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert cold[:2] == warm[:2] and cold[0] == 0
 
 
 def test_cache_element_swapped_for_its_w0_partner_exits_4(capsys, tmp_path):
-    # under a digest that matches, so only the fold's certificates can
-    # tell: B3's element 5 (length 2) for w0 times it (length 7)
-    _run(capsys, "cache", "warm", "B3", "--cache-dir", str(tmp_path))
-    raw = (tmp_path / "B3.grp").read_bytes()
-    head, payload = raw[:-32 - 24 * 18], raw[-24 * 18:]
-    system = roots.system_from_spec("B3")
+    # under a digest that matches, so only the layer certificate can tell:
+    # element 5 of a version 4 file of W(H3) (length 2) for w0 times it
+    # (length 13)
+    raw = (GOLDEN / "cache_v4" / "H3.grp").read_bytes()
+    head, payload = raw[:-32 - 60 * 30], raw[-60 * 30:]
+    system = roots.system_from_spec("H3")
     w0 = group.longest_element(system)
-    x = payload[5 * 18:6 * 18]
-    forged = payload[:5 * 18] + group._compose(w0, x) + payload[6 * 18:]
-    (tmp_path / "B3.grp").write_bytes(head + hashlib.sha256(forged).digest()
+    x = payload[5 * 30:6 * 30]
+    assert group._length(system, x) == 2
+    forged = payload[:5 * 30] + group._compose(w0, x) + payload[6 * 30:]
+    (tmp_path / "H3.grp").write_bytes(head + hashlib.sha256(forged).digest()
                                       + forged)
-    code, out, err = _run(capsys, "count", "B3", "--strategy", "brute",
+    code, out, err = _run(capsys, "count", "H3", "--strategy", "brute",
                           "--cache-dir", str(tmp_path))
     assert (code, out) == (4, "") and "layers of length" in err
 

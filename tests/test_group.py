@@ -5,11 +5,14 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from math import prod
+from pathlib import Path
 
 import pytest
 
 from coxtraces import group as group_module
 from coxtraces import roots
+from coxtraces.classes import conjugacy_classes
 from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
                              CacheFormatError, Group, GroupElement,
                              _compose, _conjugate, _invert,
@@ -19,6 +22,8 @@ from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
                              save_group, shared_group)
 from coxtraces.linalg import CertificateError, Matrix
 from coxtraces.roots import closure, system_from_spec, system_order
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -100,25 +105,28 @@ def test_closure_to_a_depth_is_a_prefix_of_the_full_closure(label):
         assert index == {p: full_index[p] for p in perms}
 
 
+def _lower_half(system):
+    """The elements of length <= floor(N/2) in full BFS order: what cache
+    files of format version 4 store."""
+    full, _, layers = _full_bfs(system)
+    return full[:sum(layers[:len(system.roots) // 4 + 1])]
+
+
 @pytest.mark.parametrize("label", ["A0", "A1", "A3", "B3", "H3", "A2+A1",
                                    "E6", "B5+A3", "A1+H4", "I2(127)"])
 def test_mirror_gives_the_full_bfs_set_with_the_lower_ids(label):
+    # the chain's elements are the full BFS set, its ids are their ranks
+    # (the identity is 0), and the lower half that version 4 cache files
+    # store gives the rest of W by its w0 mirror (Bjorner-Brenti 2.3.2)
     system = system_from_spec(label)
     group = generate_group(system)
-    full, _, layers = _full_bfs(system)
+    full = _full_bfs(system)[0]
     assert sorted(elements(group)) == sorted(full)
     assert [group.id_of(p) for p in elements(group)] == list(range(group.order))
-    # the ids of the lower half, in BFS order, are the BFS ranks' elements
-    line = sum(layers[:len(system.roots) // 4 + 1])
-    assert [group.perm(i) for i in group._lower] == full[:line]
-    # the fold: ids below |W|/2 send beta to a positive root, and the id
-    # |W|/2 above is w0 times the same element
-    if system.roots:
-        half, w0 = group.order // 2, _table(longest_element(system))
-        beta, positive = system.simple_root_indices[0], system.positive
-        for i in range(half):
-            assert positive[group.perm(i)[beta]]
-            assert group.perm(i + half) == group.perm(i).translate(w0)
+    assert group.perm(0) == bytes(range(len(system.roots)))
+    lower = _lower_half(system)
+    w0 = _table(longest_element(system)) if system.roots else None
+    assert {x.translate(w0) for x in lower} | set(lower) == set(full)
 
 
 _LONGEST_FACTORS = ([f"A{n}" for n in range(1, 9)]
@@ -148,13 +156,43 @@ def test_longest_element_is_minus_one_exactly_when_the_degrees_say_so(
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D5", "E6", "H3", "A2+A1"])
-def test_a_shorter_w0_fails_the_repeat_check(label, monkeypatch):
+def test_a_level_missing_a_stabilizer_reflection_fails_the_orbit_product(
+        label, monkeypatch):
+    # the deepest level with generators, one reflection short: its orbit
+    # shrinks, so the orbit lengths multiply to less than |W|
     system = system_from_spec(label)
-    w0, s0 = longest_element(system), system.simple_reflections[0]
-    monkeypatch.setattr(group_module, "longest_element",
-                        lambda system: _compose(w0, s0))
-    with pytest.raises(CertificateError, match="repeats"):
+    fixing, found = group_module._fixing, []
+    monkeypatch.setattr(group_module, "_fixing", lambda reflections, points:
+                        found.append(fixing(reflections, points)) or found[-1])
+    generate_group(system)
+    deepest = max(k for k, tables in enumerate(found) if tables)
+    monkeypatch.setattr(group_module, "_fixing", lambda reflections, points:
+                        fixing(reflections, points)[len(points) == deepest:])
+    with pytest.raises(CertificateError, match="orbit lengths"):
         generate_group(system)
+
+
+@pytest.mark.parametrize("label", ["B3", "H3", "B2+I2(5)+A0", "E6", "A8"])
+def test_a_forged_base_image_outside_an_orbit_is_refused(label):
+    # a permutation fixing alpha_1..alpha_k that sends alpha_(k+1) outside
+    # its level's orbit is refused, never read as orbit position 0
+    system = system_from_spec(label)
+    group = generate_group(system)
+    base, n = system.simple_root_indices, len(system.roots)
+    forged_any = False
+    for k, a in enumerate(base):
+        # the level's transversal elements are the ids d * stride
+        stride = prod(group.lengths[k + 1:])
+        orbit = {group.perm(d * stride)[a] for d in range(group.lengths[k])}
+        assert len(orbit) == group.lengths[k]
+        for root in set(range(n)) - orbit - set(base[:k]):
+            forged = bytearray(range(n))
+            forged[a], forged[root] = root, a
+            with pytest.raises(CertificateError, match="outside the orbits"):
+                group.id_of(bytes(forged))
+            assert bytes(forged) not in group
+            forged_any = True
+    assert forged_any
 
 
 @pytest.mark.parametrize("label", ["A1", "A3", "B3", "H3", "A2+A1", "E6"])
@@ -171,17 +209,25 @@ def test_an_element_that_is_not_longest_fails_the_w0_certificate(
             longest_element(system)
 
 
-def test_a_wrong_degree_fails_the_layer_certificate(monkeypatch):
-    # degrees of E6 with the right |W| = 51840 and |R| = 72, so only the
-    # Poincare polynomial can tell them from (2, 5, 6, 8, 9, 12)
+def test_a_wrong_degree_fails_the_orbit_product_certificate(monkeypatch):
+    # degrees of E6 with the right |R| = 72 but |W| = 55296: the chain
+    # finds 51840 elements; degrees with the right |W| too pass the chain,
+    # and the fixed-dimension certificate of the classes refuses them
     degrees, edges = roots._EXCEPTIONAL[("E", 6)]
-    wrong = (2, 6, 6, 6, 10, 12)
-    assert sum(wrong) == sum(degrees) and wrong != degrees
-    monkeypatch.setitem(roots._EXCEPTIONAL, ("E", 6), (wrong, edges))
-    system = system_from_spec("E6")
-    assert system_order(system.factors) == 51840 and len(system.roots) == 72
-    with pytest.raises(RuntimeError, match="Poincare polynomial"):
-        generate_group(system)
+    for wrong, group_ok in (((2, 6, 6, 8, 8, 12), False),
+                            ((2, 6, 6, 6, 10, 12), True)):
+        assert sum(wrong) == sum(degrees) and wrong != degrees
+        monkeypatch.setitem(roots._EXCEPTIONAL, ("E", 6), (wrong, edges))
+        system = system_from_spec("E6")
+        assert len(system.roots) == 72
+        if group_ok:
+            assert system_order(system.factors) == 51840
+            group = generate_group(system)
+            with pytest.raises(CertificateError, match="degree product"):
+                conjugacy_classes(group)
+        else:
+            with pytest.raises(CertificateError, match="orbit lengths"):
+                generate_group(system)
 
 
 def test_composite_group_order():
@@ -374,6 +420,22 @@ def test_class_walk_equals_the_simple_reflection_walk(label):
     assert least == sorted(least)
 
 
+@pytest.mark.parametrize("label", ["B4", "H3", "H4", "E6", "D6", "F4",
+                                   "A5+B2", "H3+I2(7)", "B5+A3", "I2(8)",
+                                   "G2+A1", "A1+H4", "A8", "D7"])
+def test_classes_come_in_the_full_bfs_order(label):
+    # each class is represented by its member the full BFS finds first,
+    # and the classes come in the order of those members; no walk builds
+    # that BFS, so it is the oracle here
+    group = generate_group(system_from_spec(label))
+    orbits = group.class_orbits()
+    _, full_index, _ = _full_bfs(group.system)
+    least = [min(full_index[group.perm(i)] for i in m) for m in orbits]
+    assert [full_index[group.perm(m[0])] for m in orbits] == least
+    assert least == sorted(least)
+    assert sum(map(len, orbits)) == group.order
+
+
 @pytest.mark.parametrize("label", ["A8", "D5+I2(3)", "D6", "A1+B5",
                                    "A1+A1+A1", "B2+I2(12)", "I2(9)+I2(12)",
                                    "A1+H4", "B2+I2(5)+A0", "A0"])
@@ -386,7 +448,7 @@ def test_center_has_one_sign_per_factor_with_minus_one(label):
     for z in center:
         assert z in group
         assert all(_compose(z, x) == _compose(x, z)
-                   for x in elements(group)[:50])
+                   for x in map(group.perm, range(min(50, group.order))))
 
 
 def test_a_non_central_shift_fails_the_centre_certificate(monkeypatch):
@@ -401,23 +463,26 @@ def test_a_non_central_shift_fails_the_centre_certificate(monkeypatch):
         group.class_orbits()
 
 
-def _descend_key(group, members):
-    """The ranking before the pruned descent: a full _descend per
-    least-length member."""
-    system = group.system
-    lengths = {i: group_module._length(system, group.perm(i)) for i in members}
-    least = min(lengths.values())
-    return min(((least, _descend(system, group.perm(i))[1]), i, members)
-               for i in members if lengths[i] == least)
+def _descend_key(system, elements):
+    """The ranking before the pruned descent: a length and a full
+    _descend per least-length element, and that element's place."""
+    lengths = [group_module._length(system, w) for w in elements]
+    least = min(lengths)
+    return min(((least, _descend(system, w)[1]), k)
+               for k, (w, length) in enumerate(zip(elements, lengths))
+               if length == least)
 
 
 @pytest.mark.parametrize("label", ["D7", "A1+H4", "F4+I2(3)"])
 def test_pruned_bfs_key_is_the_per_member_descent_key(label):
     group = shared_group(system_from_spec(label))
     found, _ = group._orbits([_walker(g) for g in group.walk_set()])
-    for members in found:
-        assert group_module._bfs_key(group, members) == \
-            _descend_key(group, members), (label, members[0])
+    for key, members in found:
+        elements = [group.perm(i) for i in members]
+        payload = b"".join(elements[::-1])  # the representative last
+        assert group_module._bfs_key(group.system, payload, len(members)) \
+            == _descend_key(group.system, elements[::-1]) \
+            == (key, len(members) - 1), (label, members[0])
 
 
 @pytest.mark.parametrize("label, size", [("A0", 0), ("A1", 1), ("B2", 2),
@@ -483,14 +548,12 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.order == group.order
     assert loaded.system.label == "B2+A1"
     assert elements(loaded) == elements(group)
-    assert loaded._lower == group._lower
+    assert loaded.lengths == group.lengths
     assert loaded.generator_ids == group.generator_ids
 
 
 @pytest.mark.parametrize("label", ["A0", "A0+A0", "A1", "A1+A0", "A1+A1"])
 def test_cache_roundtrip_of_the_smallest_groups(tmp_path, label):
-    # the lower half of A1 is its identity alone: its simple reflection,
-    # which is w0, is not in the file
     group = generate_group(system_from_spec(label))
     save_group(group, tmp_path / "g.grp")
     loaded = load_group(tmp_path / "g.grp")
@@ -498,27 +561,44 @@ def test_cache_roundtrip_of_the_smallest_groups(tmp_path, label):
     assert loaded.generator_ids == group.generator_ids
 
 
-def test_cache_blocks_leave_the_file_bytes_as_they_were(tmp_path,
-                                                       monkeypatch):
-    # one header, the SHA-256 of the joined payload, then the payload,
-    # the elements of length <= floor(N/2) in the order of the full BFS:
-    # the same bytes whatever the block size, and more than one block
-    system = system_from_spec("A7")
-    group = generate_group(system)
-    full, _, layers = _full_bfs(system)
-    lower = full[:sum(layers[:len(system.roots) // 4 + 1])]
-    assert len(lower) > group_module._CACHE_BLOCK
-    label, ids = b"A7", range(1, 8)  # the BFS ranks of s_1, ..., s_7
-    payload = b"".join(lower)
-    expected = (struct.pack("<4sBBH", b"CXGC", 4, 1, len(label)) + label
-                + struct.pack("<IQH", 56, group.order, len(ids))
-                + struct.pack(f"<{len(ids)}I", *ids)
-                + hashlib.sha256(payload).digest() + payload)
+def test_a_fresh_cache_file_is_the_header_the_orbit_lengths_and_a_digest(
+        tmp_path):
+    # the header of every version, the orbit lengths of the stabilizer
+    # chain where the generator ids were, and the SHA-256 of both: A7
+    # (40,320 elements, 2.3 MB in version 2) in 84 bytes
+    group = generate_group(system_from_spec("A7"))
+    assert group.lengths == (56, 6, 5, 4, 3, 2, 1)
+    label, lengths = b"A7", group.lengths
+    head = (struct.pack("<4sBBH", b"CXGC", 5, 1, len(label)) + label
+            + struct.pack("<IQH", 56, group.order, len(lengths))
+            + struct.pack(f"<{len(lengths)}I", *lengths))
     save_group(group, tmp_path / "a7.grp")
-    assert (tmp_path / "a7.grp").read_bytes() == expected
-    monkeypatch.setattr(group_module, "_CACHE_BLOCK", 7)
-    save_group(group, tmp_path / "a7_small_blocks.grp")
-    assert (tmp_path / "a7_small_blocks.grp").read_bytes() == expected
+    raw = (tmp_path / "a7.grp").read_bytes()
+    assert raw == head + hashlib.sha256(head).digest()
+    assert len(raw) == 84
+
+
+def _cache_file(system, version, elements) -> bytes:
+    """A cache file of format version 2, 3 or 4, as earlier releases wrote
+    it: the header, the generator ids 1..r (their BFS ids), the SHA-256 of
+    the payload, then the payload, the elements joined."""
+    label, r = system.label.encode(), system.rank
+    payload = b"".join(elements)
+    return (struct.pack("<4sBBH", b"CXGC", version, 1, len(label)) + label
+            + struct.pack("<IQH", len(system.roots),
+                          system_order(system.factors), r)
+            + struct.pack(f"<{r}I", *range(1, r + 1))
+            + hashlib.sha256(payload).digest() + payload)
+
+
+@pytest.mark.parametrize("label, name", [("H3", "H3.grp"),
+                                         ("B2+I2(5)+A0", "B2_I25_A0.grp")])
+def test_version_4_cache_files_are_the_lower_half_in_bfs_order(label, name):
+    # the files of the last release that wrote version 4, byte for byte:
+    # the forged files below are what it would have written
+    system = system_from_spec(label)
+    assert (GOLDEN / "cache_v4" / name).read_bytes() == \
+        _cache_file(system, 4, _lower_half(system))
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -537,41 +617,74 @@ def test_cache_rejects_corruption(tmp_path):
     with pytest.raises(CacheFormatError):
         load_group(path)
     # after the 8-byte header and the label "A2": root count (4 bytes),
-    # order (8), generator count (2), one 4-byte id per generator, then
-    # the 32-byte payload digest
+    # order (8), count of orbit lengths (2), the orbit lengths (6, 1), 4
+    # bytes each, then the 32-byte digest of all that
+    assert struct.unpack_from("<2I", raw, 24) == group.lengths == (6, 1)
     for bad in (raw[:14] + struct.pack("<Q", 3) + raw[22:],   # order != |W|
-                raw[:-1],                                    # short payload
-                raw + b"\x00",                               # long payload
-                raw[:24] + struct.pack("<I", 6) + raw[28:],   # id >= order
+                raw[:-1],                                    # short digest
+                raw + b"\x00",                               # trailing byte
+                raw[:24] + struct.pack("<I", 3) + raw[28:],   # orbit length
                 raw[:40] + bytes([raw[40] ^ 1]) + raw[41:],   # bad digest
-                raw[:-6] + raw[-6:][::-1]):                  # bad payload
+                raw[:-6] + raw[-6:][::-1]):                  # bad digest
         path.write_bytes(bad)
         with pytest.raises(CacheFormatError):
             load_group(path)
 
 
-def _forge(group, path, k, perm):
-    """The group's cache file with lower-half element k replaced by perm
-    under a digest that matches."""
+def _redigested(raw: bytes) -> bytes:
+    """A version 5 file image with its digest made to match again."""
+    return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
+
+
+def test_cache_orbit_lengths_are_checked_under_a_matching_digest(tmp_path):
+    # each orbit length, and the label, against a chain rebuilt from it
+    group = generate_group(system_from_spec("A1+B2"))
+    assert group.lengths == (2, 4, 2)
+    path = tmp_path / "g.grp"
     save_group(group, path)
-    lower = [group.perm(i) for i in group._lower]
-    head = path.read_bytes()[:-32 - len(b"".join(lower))]  # before the digest
-    payload = b"".join(lower[:k] + [perm] + lower[k + 1:])
-    path.write_bytes(head + hashlib.sha256(payload).digest() + payload)
+    raw = path.read_bytes()
+    at = len(raw) - 32 - 12  # the three orbit lengths
+    for k, wrong in ((0, 4), (1, 2), (2, 4)):
+        field = at + 4 * k
+        path.write_bytes(_redigested(raw[:field] + struct.pack("<I", wrong)
+                                     + raw[field + 4:]))
+        with pytest.raises(CacheFormatError, match="orbit lengths"):
+            load_group(path)
+    # B2+A1 has the same roots and order, and its chain (4, 2, 2) differs
+    assert raw[8:13] == b"A1+B2"
+    path.write_bytes(_redigested(raw[:8] + b"B2+A1" + raw[13:]))
+    with pytest.raises(CacheFormatError, match="orbit lengths"):
+        load_group(path)
+
+
+def _forge(system, path, k, perm):
+    """A version 4 cache file of the system with lower-half element k
+    replaced by perm, under a digest that matches; the lower half."""
+    lower = _lower_half(system)
+    path.write_bytes(_cache_file(system, 4, lower[:k] + [perm] + lower[k + 1:]))
     return lower
 
 
 def test_cache_checks_what_the_digest_cannot(tmp_path):
     # B3: layers 1, 3, 5, 7, 8 up to length floor(9/2) = 4
-    group = generate_group(system_from_spec("B3"))
+    system = system_from_spec("B3")
     path = tmp_path / "b3.grp"
-    lower = [group.perm(i) for i in group._lower]
+    lower = _lower_half(system)
     out_of_range = bytes([18]) + lower[5][1:]   # B3 has 18 roots
+    # two positive roots that lower[5] sends to positive roots, neither of
+    # them simple: their images swapped keep the length and the base
+    # images, so only the chain's unrank can tell
+    positive, simple = system.positive, system.simple_root_indices
+    r, s = [r for r in range(18) if positive[r] and positive[lower[5][r]]
+            and r not in simple][:2]
+    swapped = bytearray(lower[5])
+    swapped[r], swapped[s] = swapped[s], swapped[r]
     for k, perm, message in ((1, lower[1][::-1], "simple reflections"),
                              (5, lower[0], "layers of length"),
                              (5, out_of_range, "layers of length"),
+                             (5, bytes(swapped), "not an element of W"),
                              (5, lower[4], "repeats")):  # both of length 2
-        _forge(group, path, k, perm)
+        _forge(system, path, k, perm)
         with pytest.raises(CacheFormatError, match=message):
             load_group(path)
 
@@ -580,14 +693,16 @@ def test_cache_checks_what_the_digest_cannot(tmp_path):
                                       ("A3", 12), ("H3", 59)])
 def test_cache_element_swapped_for_its_w0_partner_is_refused(tmp_path, label,
                                                             k):
-    # w0 x is stored exactly when x is not, so the fold alone cannot tell
-    # them apart; below the middle length w0 x is too long, and in the
-    # middle (A3, N = 6: lengths 3 and 3) it is stored twice
-    group = generate_group(system_from_spec(label))
-    w0 = longest_element(group.system)
+    # version 4 files: w0 x is an element of W whenever x is, so only the
+    # layers tell them apart below the middle length, where w0 x is too
+    # long, and in the middle (A3, N = 6: lengths 3 and 3) w0 x is stored
+    # twice
+    system = system_from_spec(label)
+    w0 = longest_element(system)
     path = tmp_path / "forged.grp"
-    lower = _forge(group, path, k, _compose(w0, group.perm(group._lower[k])))
-    middle = group_module._length(group.system, lower[k]) * 2 == len(w0) // 2
+    lower = _lower_half(system)
+    _forge(system, path, k, _compose(w0, lower[k]))
+    middle = group_module._length(system, lower[k]) * 2 == len(w0) // 2
     with pytest.raises(CacheFormatError,
                        match="repeats" if middle else "layers of length"):
         load_group(path)
@@ -604,6 +719,16 @@ def test_cache_of_a_system_past_the_ring_limit_is_refused(tmp_path):
         load_group(path)
 
 
+def test_cache_of_e8_is_refused_before_its_walk(tmp_path):
+    # a version 5 file is a hundred bytes whatever the group, so one of
+    # W(E8) could be forged; loading it refuses as enumerating it does
+    group = Group(system_from_spec("E8"))
+    assert group.order == 696_729_600
+    save_group(group, tmp_path / "e8.grp")
+    with pytest.raises(CacheFormatError, match="beyond desk scale"):
+        load_group(tmp_path / "e8.grp")
+
+
 # A2 as saved by cache format version 1, whose roots were ambient vectors
 # in another order; its permutations mean nothing under the current roots
 _A2_CACHE_V1 = bytes.fromhex(
@@ -618,26 +743,23 @@ def test_cache_written_by_version_1_is_refused(tmp_path):
         load_group(path)
 
 
-def test_a_fresh_cache_file_carries_version_4(tmp_path):
-    # version 4 stores the lower half only; a version 3 file of the same
-    # group (all of W, the lower half first) loads to the same group, at
-    # about twice the bytes
+def test_a_fresh_cache_file_carries_version_5(tmp_path):
+    # version 5 stores no element; version 3 and 4 files of the same group
+    # (all of W with the lower half first, the lower half alone) load to
+    # the same group, every stored element sifted through the chain
     system = system_from_spec("B3")
     group = generate_group(system)
     save_group(group, tmp_path / "b3.grp")
     raw = (tmp_path / "b3.grp").read_bytes()
-    assert raw[:4] == b"CXGC" and raw[4] == 4
-    lower = [group.perm(i) for i in group._lower]
-    upper = [p for p in elements(group) if p not in lower]
-    payload = b"".join(lower + upper)
-    head = raw[:-32 - 18 * len(lower)]
-    (tmp_path / "v3.grp").write_bytes(head[:4] + b"\x03" + head[5:]
-                                      + hashlib.sha256(payload).digest()
-                                      + payload)
-    loaded = load_group(tmp_path / "v3.grp")
-    assert elements(loaded) == elements(group)
-    assert loaded._lower == group._lower
-    assert len(raw) < 0.55 * (tmp_path / "v3.grp").stat().st_size
+    assert raw[:4] == b"CXGC" and raw[4] == 5 and len(raw) < 100
+    lower = _lower_half(system)
+    upper = [p for p in _full_bfs(system)[0] if p not in lower]
+    for version, stored in ((3, lower + upper), (4, lower)):
+        (tmp_path / "old.grp").write_bytes(_cache_file(system, version,
+                                                       stored))
+        loaded = load_group(tmp_path / "old.grp")
+        assert elements(loaded) == elements(group)
+        assert loaded.lengths == group.lengths
 
 
 def test_shared_group_memoizes():
