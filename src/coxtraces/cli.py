@@ -19,8 +19,9 @@ import time
 from collections import namedtuple
 
 from .classes import conjugacy_classes, count, count_brute_force
-from .group import (DEFAULT_BUDGET, BudgetExceededError, CacheFormatError,
-                    check_enumerable, generate_group, load_group, save_group)
+from .group import (CACHE_VERSION, DEFAULT_BUDGET, BudgetExceededError,
+                    CacheFormatError, check_enumerable, generate_group,
+                    load_group, save_group)
 from .linalg import CertificateError
 from .partitions import closed_form_count
 from .roots import (Factor, SpecParseError, build_irreducible, build_system,
@@ -305,11 +306,10 @@ def cmd_cache(args) -> int:
         for name in names:
             path = os.path.join(cache_dir, name)
             try:
-                group = load_group(path)
-                with open(path, "rb") as fh:
-                    version = fh.read(5)[4]  # after the 4-byte magic
+                group = load_group(path)  # which reads CACHE_VERSION only
                 print(f"{group.system.label}  order={group.order}  "
-                      f"bytes={os.path.getsize(path)}  version={version}")
+                      f"bytes={os.path.getsize(path)}  "
+                      f"version={CACHE_VERSION}")
             except (CacheFormatError, OSError) as exc:  # OSError: not a file
                 print(f"{name}  UNREADABLE ({exc})")
         return EXIT_OK

@@ -29,6 +29,10 @@ the images of the simple roots as its columns.  Whether a system is
 enumerated at all is decided from the factor formulas (check_enumerable)
 before any root is built: the limits are 256 roots, N <= 128, the
 budget and the heavy threshold.
+
+A cache file holds no element either: the label, the orbit lengths and
+their digest, which load_group checks against a chain rebuilt from the
+label.
 """
 
 from __future__ import annotations
@@ -59,9 +63,7 @@ _MAX_ROOTS = 256  # one byte per root
 _TAIL_ORDER = 5040
 
 _CACHE_MAGIC = b"CXGC"
-# version 5 stores the chain's orbit lengths; versions 2-4 stored the
-# elements of length <= floor(N/2) in BFS order (4), or all of W with
-# those first (2 and 3)
+# the one format load_group reads: header, orbit lengths, digest
 CACHE_VERSION = 5
 
 
@@ -114,7 +116,6 @@ class Group:
         for tables in self._up[:len(levels) - cut]:
             tail = [x.translate(t) for t in tables for x in tail]
         self._tail = dict(zip(tail, count()))
-        self.generator_ids = tuple(map(self.id_of, simple))
 
     # -- elements ---------------------------------------------------------
 
@@ -451,18 +452,6 @@ def longest_element(system: RootSystem) -> bytes:
     return w0
 
 
-def _poincare(factors) -> list:
-    """The number of elements of each length: the coefficients of the
-    Poincare polynomial prod_i (1 + q + ... + q^(d_i - 1)) over the
-    degrees d_i (Chevalley 1955)."""
-    coefficients = [1]
-    for d in (d for f in factors for d in f.degrees):
-        # times 1 + q + ... + q^(d-1): coefficient k sums a window of d
-        coefficients = [sum(coefficients[max(k - d + 1, 0):k + 1])
-                        for k in range(len(coefficients) + d - 1)]
-    return coefficients
-
-
 def contains_minus_identity(system: RootSystem) -> bool:
     """Whether -identity (on the full ambient space) lies in W, with no
     enumeration: exactly when w0 = -1, as w0 is the one element sending
@@ -514,12 +503,10 @@ def save_group(group: Group, path) -> None:
 
 
 def load_group(path) -> Group:
-    """Rebuild a group from a snapshot: its chain is rebuilt from the label.
-    A version 5 file must match its digest and the rebuilt orbit lengths.
-    An older one must match its digest, start with the identity and the
-    simple reflections, hold the length layers 0..floor(N/2) of the
-    Poincare polynomial in order, and every element must sift through the
-    chain to itself, with no repeat."""
+    """Rebuild a group from a snapshot: its chain is rebuilt from the label,
+    and the file must match its digest and the rebuilt orbit lengths.  A
+    file of any other version is refused: warming it again takes
+    milliseconds."""
     import hashlib  # see save_group
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -527,19 +514,18 @@ def load_group(path) -> Group:
         magic, version, width, label_len = struct.unpack_from("<4sBBH", blob, 0)
         if magic != _CACHE_MAGIC:
             raise CacheFormatError(f"{path} is not a group cache file")
-        if version not in (2, 3, 4, CACHE_VERSION):
-            raise CacheFormatError(f"{path} has cache version {version}, "
-                                   "expected 2, 3, 4 or 5")
+        if version != CACHE_VERSION:
+            raise CacheFormatError(
+                f"{path} has cache version {version}, expected "
+                f"{CACHE_VERSION}; run `cache warm` again to rewrite it")
         if width != 1:
             raise CacheFormatError(
                 f"{path} stores {width} bytes per root, expected 1")
         label, offset = blob[8:8 + label_len].decode(), 8 + label_len
-        n, order, fields = struct.unpack_from("<IQH", blob, offset)
+        n, order, levels = struct.unpack_from("<IQH", blob, offset)
         offset += 14
-        # the generator ids (versions 2-4) or the orbit lengths (5)
-        fields = list(struct.unpack_from(f"<{fields}I", blob, offset))
-        offset += 4 * len(fields)
-        stored_digest, offset = blob[offset:offset + 32], offset + 32
+        lengths = struct.unpack_from(f"<{levels}I", blob, offset)
+        offset += 4 * levels
         factors = parse_system_spec(label)
     except CacheFormatError:
         raise
@@ -556,46 +542,16 @@ def load_group(path) -> Group:
         raise CacheFormatError(
             f"{path}: order {order} does not match |W({label})| = "
             f"{system_order(factors)}")
-    layers = _poincare(factors)[:n // 4 + 1]
-    line = sum(layers)
-    # version 5 stores no element, and its digest signs the header
-    elements = {4: line, CACHE_VERSION: 0}.get(version, order)
-    if len(blob) - offset != elements * n:
-        raise CacheFormatError(
-            f"{path}: payload has {len(blob) - offset} bytes, expected "
-            f"{elements} x {n}")
-    payload = blob[offset:] if elements else blob[:offset - 32]
-    del blob
-    if hashlib.sha256(payload).digest() != stored_digest:
+    if len(blob) != offset + 32:
+        raise CacheFormatError(f"{path}: {len(blob) - offset} bytes follow "
+                               "the header, expected its 32-byte digest")
+    if hashlib.sha256(blob[:offset]).digest() != blob[offset:]:
         raise CacheFormatError(f"{path}: the file does not match its digest")
     try:
         group = Group(system_from_spec(label))
     except CertificateError as exc:
         raise CacheFormatError(f"{path}: {exc}") from exc
-    if not elements:
-        if tuple(fields) != group.lengths:
-            raise CacheFormatError(f"{path}: orbit lengths {fields} are not "
-                                   f"those of {label}, {group.lengths}")
-        return group
-    system = group.system
-    # the BFS starts at the identity, then s_1, ..., s_r (not stored when
-    # N = 1: A1 has only its identity below the middle)
-    start = b"".join((bytes(range(n)),) + system.simple_reflections)
-    if (fields != list(range(1, system.rank + 1))
-            or payload[:len(start)] != start[:len(payload)]):
-        raise CacheFormatError(f"{path}: the payload does not start with "
-                               f"the identity and the simple reflections "
-                               f"of {label}")
-    if (payload.translate(None, bytes(range(n)))
-            or _lengths(system, payload[:line * n], line)
-            != b"".join(bytes([k]) * c for k, c in enumerate(layers))):
-        raise CacheFormatError(f"{path}: the stored elements are not the "
-                               f"layers of length 0..{n // 4} of {label}")
-    stored = ([payload[k:k + n] for k in range(0, len(payload), n)] if n
-              else [b""])
-    if not all(map(group.__contains__, stored)):
-        raise CacheFormatError(f"{path}: a stored element is not an element "
-                               f"of W({label})")
-    if len(set(map(group.id_of, stored))) != len(stored):
-        raise CacheFormatError(f"{path}: a stored element repeats")
+    if lengths != group.lengths:
+        raise CacheFormatError(f"{path}: orbit lengths {list(lengths)} are "
+                               f"not those of {label}, {group.lengths}")
     return group

@@ -306,17 +306,14 @@ def _reflections(ring: Ring, cartan) -> list:
 # -- the one closure, for roots and every group model ------------------------
 
 
-def closure(seeds, gens, act, depth=None):
+def closure(seeds, gens, act):
     """BFS closure of the seeds under x -> act(x, g) for g in gens: the
-    elements in discovery order, the id map and the layer sizes; with a
-    depth, only that many layers, the last one not expanded."""
+    elements in discovery order, the id map and the layer sizes."""
     elements = list(seeds)
     index = {x: i for i, x in enumerate(elements)}
     frontier, layers = list(elements), []
     while frontier:
         layers.append(len(frontier))
-        if len(layers) == depth:
-            break
         fresh = []
         for x in frontier:
             for g in gens:

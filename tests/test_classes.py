@@ -101,7 +101,7 @@ def test_walk_set_that_splits_classes_fails_the_class_count(monkeypatch):
     # whose sizes by fixed dimension still match the degrees; with the
     # walk-set certificate patched out, the class count must refuse them
     group = generate_group(system_from_spec("B4"))
-    long_root = group.perm(group.generator_ids[1])
+    long_root = group.system.simple_reflections[1]
     short_only = [g for g in group.walk_set() if g != long_root]
     monkeypatch.setattr(Group, "walk_set", lambda self: short_only)
     monkeypatch.setattr(group_module, "_certify_walk_set",

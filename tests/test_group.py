@@ -6,7 +6,6 @@ import hashlib
 import random
 import struct
 from math import prod
-from pathlib import Path
 
 import pytest
 
@@ -22,8 +21,6 @@ from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
                              save_group, shared_group)
 from coxtraces.linalg import CertificateError, Matrix
 from coxtraces.roots import closure, system_from_spec, system_order
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -43,7 +40,8 @@ def elements(group):
 
 
 def generators(group):
-    return [GroupElement(group, i) for i in group.generator_ids]
+    return [GroupElement(group, group.id_of(s))
+            for s in group.system.simple_reflections]
 
 
 KNOWN_ORDERS = {
@@ -92,22 +90,8 @@ def test_full_bfs_orders_each_layer_by_the_lex_first_word(label):
         start += size
 
 
-@pytest.mark.parametrize("label", ["A3", "H3", "B2+I2(5)+A0"])
-def test_closure_to_a_depth_is_a_prefix_of_the_full_closure(label):
-    system = system_from_spec(label)
-    gens = [_table(g) for g in system.simple_reflections]
-    full, full_index, full_layers = _full_bfs(system)
-    for depth in range(1, len(full_layers) + 2):
-        perms, index, layers = closure([bytes(range(len(system.roots)))],
-                                       gens, bytes.translate, depth=depth)
-        assert layers == full_layers[:depth]
-        assert perms == full[:sum(layers)]
-        assert index == {p: full_index[p] for p in perms}
-
-
 def _lower_half(system):
-    """The elements of length <= floor(N/2) in full BFS order: what cache
-    files of format version 4 store."""
+    """The elements of length <= floor(N/2) in full BFS order."""
     full, _, layers = _full_bfs(system)
     return full[:sum(layers[:len(system.roots) // 4 + 1])]
 
@@ -116,8 +100,8 @@ def _lower_half(system):
                                    "E6", "B5+A3", "A1+H4", "I2(127)"])
 def test_mirror_gives_the_full_bfs_set_with_the_lower_ids(label):
     # the chain's elements are the full BFS set, its ids are their ranks
-    # (the identity is 0), and the lower half that version 4 cache files
-    # store gives the rest of W by its w0 mirror (Bjorner-Brenti 2.3.2)
+    # (the identity is 0), and the lower half gives the rest of W by its
+    # w0 mirror (Bjorner-Brenti 2.3.2)
     system = system_from_spec(label)
     group = generate_group(system)
     full = _full_bfs(system)[0]
@@ -495,7 +479,7 @@ def test_walk_set_sizes(label, size):
     assert len(walk) == size
     if size < group.system.rank:
         # the Coxeter element s_1 s_2 ... s_r, then simple reflections
-        simple = [group.perm(i) for i in group.generator_ids]
+        simple = group.system.simple_reflections
         c = group.identity
         for g in generators(group):
             c = compose(c, g)
@@ -520,7 +504,7 @@ def test_walk_set_that_misses_a_reflection_class_is_refused(monkeypatch):
     # must refuse rather than print finer classes
     group = generate_group(system_from_spec("B4"))
     walk = group.walk_set()
-    long_root = group.perm(group.generator_ids[1])
+    long_root = group.system.simple_reflections[1]
     assert long_root in walk
     short_only = [g for g in walk if g != long_root]
     finer = _orbits_by_closure(group, short_only)
@@ -533,7 +517,7 @@ def test_walk_set_that_misses_a_reflection_class_is_refused(monkeypatch):
 @pytest.mark.parametrize("label", ["A0", "A3", "B3", "H3", "E6", "A1+A0"])
 def test_bulk_lengths_are_the_lengths(label):
     # one byte per element, column by column of positive roots: what
-    # load_group checks the stored layers with
+    # _bfs_key reads the lengths with
     system = system_from_spec(label)
     perms = _full_bfs(system)[0]
     assert group_module._lengths(system, b"".join(perms), len(perms)) == \
@@ -549,7 +533,6 @@ def test_cache_roundtrip(tmp_path):
     assert loaded.system.label == "B2+A1"
     assert elements(loaded) == elements(group)
     assert loaded.lengths == group.lengths
-    assert loaded.generator_ids == group.generator_ids
 
 
 @pytest.mark.parametrize("label", ["A0", "A0+A0", "A1", "A1+A0", "A1+A1"])
@@ -558,7 +541,7 @@ def test_cache_roundtrip_of_the_smallest_groups(tmp_path, label):
     save_group(group, tmp_path / "g.grp")
     loaded = load_group(tmp_path / "g.grp")
     assert elements(loaded) == elements(group)
-    assert loaded.generator_ids == group.generator_ids
+    assert loaded.lengths == group.lengths
 
 
 def test_a_fresh_cache_file_is_the_header_the_orbit_lengths_and_a_digest(
@@ -576,29 +559,6 @@ def test_a_fresh_cache_file_is_the_header_the_orbit_lengths_and_a_digest(
     raw = (tmp_path / "a7.grp").read_bytes()
     assert raw == head + hashlib.sha256(head).digest()
     assert len(raw) == 84
-
-
-def _cache_file(system, version, elements) -> bytes:
-    """A cache file of format version 2, 3 or 4, as earlier releases wrote
-    it: the header, the generator ids 1..r (their BFS ids), the SHA-256 of
-    the payload, then the payload, the elements joined."""
-    label, r = system.label.encode(), system.rank
-    payload = b"".join(elements)
-    return (struct.pack("<4sBBH", b"CXGC", version, 1, len(label)) + label
-            + struct.pack("<IQH", len(system.roots),
-                          system_order(system.factors), r)
-            + struct.pack(f"<{r}I", *range(1, r + 1))
-            + hashlib.sha256(payload).digest() + payload)
-
-
-@pytest.mark.parametrize("label, name", [("H3", "H3.grp"),
-                                         ("B2+I2(5)+A0", "B2_I25_A0.grp")])
-def test_version_4_cache_files_are_the_lower_half_in_bfs_order(label, name):
-    # the files of the last release that wrote version 4, byte for byte:
-    # the forged files below are what it would have written
-    system = system_from_spec(label)
-    assert (GOLDEN / "cache_v4" / name).read_bytes() == \
-        _cache_file(system, 4, _lower_half(system))
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -657,64 +617,15 @@ def test_cache_orbit_lengths_are_checked_under_a_matching_digest(tmp_path):
         load_group(path)
 
 
-def _forge(system, path, k, perm):
-    """A version 4 cache file of the system with lower-half element k
-    replaced by perm, under a digest that matches; the lower half."""
-    lower = _lower_half(system)
-    path.write_bytes(_cache_file(system, 4, lower[:k] + [perm] + lower[k + 1:]))
-    return lower
-
-
-def test_cache_checks_what_the_digest_cannot(tmp_path):
-    # B3: layers 1, 3, 5, 7, 8 up to length floor(9/2) = 4
-    system = system_from_spec("B3")
-    path = tmp_path / "b3.grp"
-    lower = _lower_half(system)
-    out_of_range = bytes([18]) + lower[5][1:]   # B3 has 18 roots
-    # two positive roots that lower[5] sends to positive roots, neither of
-    # them simple: their images swapped keep the length and the base
-    # images, so only the chain's unrank can tell
-    positive, simple = system.positive, system.simple_root_indices
-    r, s = [r for r in range(18) if positive[r] and positive[lower[5][r]]
-            and r not in simple][:2]
-    swapped = bytearray(lower[5])
-    swapped[r], swapped[s] = swapped[s], swapped[r]
-    for k, perm, message in ((1, lower[1][::-1], "simple reflections"),
-                             (5, lower[0], "layers of length"),
-                             (5, out_of_range, "layers of length"),
-                             (5, bytes(swapped), "not an element of W"),
-                             (5, lower[4], "repeats")):  # both of length 2
-        _forge(system, path, k, perm)
-        with pytest.raises(CacheFormatError, match=message):
-            load_group(path)
-
-
-@pytest.mark.parametrize("label, k", [("B3", 5), ("B3", 23), ("A3", 5),
-                                      ("A3", 12), ("H3", 59)])
-def test_cache_element_swapped_for_its_w0_partner_is_refused(tmp_path, label,
-                                                            k):
-    # version 4 files: w0 x is an element of W whenever x is, so only the
-    # layers tell them apart below the middle length, where w0 x is too
-    # long, and in the middle (A3, N = 6: lengths 3 and 3) w0 x is stored
-    # twice
-    system = system_from_spec(label)
-    w0 = longest_element(system)
-    path = tmp_path / "forged.grp"
-    lower = _lower_half(system)
-    _forge(system, path, k, _compose(w0, lower[k]))
-    middle = group_module._length(system, lower[k]) * 2 == len(w0) // 2
-    with pytest.raises(CacheFormatError,
-                       match="repeats" if middle else "layers of length"):
-        load_group(path)
-
-
 def test_cache_of_a_system_past_the_ring_limit_is_refused(tmp_path):
-    # a header that is right in everything but the system, which could
-    # never have been enumerated; the refusal comes before any root
+    # a version 5 file, under a digest that matches, that is right in
+    # everything but the system, which could never have been enumerated;
+    # the refusal comes before any root
     label = b"I2(7)+I2(9)+I2(11)"
     path = tmp_path / "wide.grp"
-    path.write_bytes(struct.pack("<4sBBH", b"CXGC", 2, 1, len(label)) + label
-                     + struct.pack("<IQH", 54, 5544, 0) + bytes(32))
+    head = (struct.pack("<4sBBH", b"CXGC", 5, 1, len(label)) + label
+            + struct.pack("<IQH", 54, 5544, 0))
+    path.write_bytes(head + hashlib.sha256(head).digest())
     with pytest.raises(CacheFormatError, match="ring limit"):
         load_group(path)
 
@@ -737,29 +648,27 @@ _A2_CACHE_V1 = bytes.fromhex(
 
 
 def test_cache_written_by_version_1_is_refused(tmp_path):
+    # and the element stores of versions 2-4, here a fresh file with its
+    # version byte changed: load_group reads version 5 only, and a file
+    # warmed again is one
     path = tmp_path / "a2.grp"
-    path.write_bytes(_A2_CACHE_V1)
-    with pytest.raises(CacheFormatError, match="version 1, expected 2"):
-        load_group(path)
+    save_group(generate_group(system_from_spec("A2")), path)
+    raw = path.read_bytes()
+    for version in (1, 2, 3, 4):
+        path.write_bytes(_A2_CACHE_V1 if version == 1
+                         else raw[:4] + bytes([version]) + raw[5:])
+        with pytest.raises(CacheFormatError,
+                           match=f"version {version}, expected 5; run "
+                                 "`cache warm` again"):
+            load_group(path)
 
 
 def test_a_fresh_cache_file_carries_version_5(tmp_path):
-    # version 5 stores no element; version 3 and 4 files of the same group
-    # (all of W with the lower half first, the lower half alone) load to
-    # the same group, every stored element sifted through the chain
-    system = system_from_spec("B3")
-    group = generate_group(system)
+    # version 5 stores no element: B3 (48 elements) in under a hundred bytes
+    group = generate_group(system_from_spec("B3"))
     save_group(group, tmp_path / "b3.grp")
     raw = (tmp_path / "b3.grp").read_bytes()
     assert raw[:4] == b"CXGC" and raw[4] == 5 and len(raw) < 100
-    lower = _lower_half(system)
-    upper = [p for p in _full_bfs(system)[0] if p not in lower]
-    for version, stored in ((3, lower + upper), (4, lower)):
-        (tmp_path / "old.grp").write_bytes(_cache_file(system, version,
-                                                       stored))
-        loaded = load_group(tmp_path / "old.grp")
-        assert elements(loaded) == elements(group)
-        assert loaded.lengths == group.lengths
 
 
 def test_shared_group_memoizes():

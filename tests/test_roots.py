@@ -354,7 +354,7 @@ def test_reflection_fixes_orthogonal_and_negates_root():
             for b, beta in enumerate(system.roots):
                 if ring.dot(system.cartan[k], beta) == ring.zero:
                     assert perm[b] == b
-            m = group.span_matrix_of(group.generator_ids[k])
+            m = group.span_matrix_of(group.id_of(perm))
             assert m * m == Matrix.identity(rank, ring)
             assert m.det() == ring.integer(-1)
 
@@ -395,7 +395,7 @@ def test_highest_h3_root_reflection_has_golden_entries():
     assert any(y for _, y in system.roots[top])
     w = next(w for w in range(group.order)
              if group.perm(w)[system.simple_root_indices[0]] == top)
-    s0 = group.perm(group.generator_ids[0])
+    s0 = system.simple_reflections[0]
     m = group.span_matrix_of(group.id_of(_conjugate(s0,
                                                     _walker(group.perm(w)))))
     assert m * m == Matrix.identity(3, ring)
