@@ -31,8 +31,8 @@ before any root is built: the limits are 256 roots, N <= 128, the
 budget and the heavy threshold.
 
 A cache file holds no element either: the label, the orbit lengths and
-their digest, which load_group checks against a chain rebuilt from the
-label.
+their CRC-32 (zlib's, which loads no OpenSSL), checked against a chain
+rebuilt from the label; that re-derives every field but the checksum.
 """
 
 from __future__ import annotations
@@ -58,13 +58,14 @@ HEAVY_THRESHOLD = 1_000_000
 _E8_ORDER = 696_729_600
 
 _MAX_ROOTS = 256  # one byte per root
+_IDENTITY = bytes(range(256))  # the identity as a translate table
 
 # the chain's last levels are merged into one dict up to this order
 _TAIL_ORDER = 5040
 
 _CACHE_MAGIC = b"CXGC"
-# the one format load_group reads: header, orbit lengths, digest
-CACHE_VERSION = 5
+# the one format load_group reads: header, orbit lengths, CRC-32
+CACHE_VERSION = 6
 
 
 class GroupElement(namedtuple("GroupElement", "group index")):
@@ -210,15 +211,15 @@ class Group:
         (from 1) of each id.  An orbit's elements are joined in one payload,
         which is also the walk's queue, and told apart by their base images,
         all a rank reads: those of g x g^-1 take two translates of r bytes.
-        Each shift is a central z: z C is an orbit, one translate of C."""
+        Each shift is a central z: z C is an orbit, C read under z's table."""
         system, base, n = self.system, self._base, len(self.system.roots)
         walkers = [(inverse, base.translate(_table(inverse)), table)
                    for inverse, table in walkers]
         moves = [_table(z) for z in shifts]
         label, found = array("I", bytes(4 * self.order)), []
 
-        def take(payload, keys):
-            key, k = _bfs_key(system, payload, len(keys))
+        def take(payload, count, keys, left=_IDENTITY):
+            key, k = _bfs_key(system, payload, count, left)
             ids = array("I", map(self._rank, keys))
             ids[0], ids[k] = ids[k], ids[0]
             found.append((key, ids))
@@ -241,11 +242,11 @@ class Group:
                         keys.append(key)
                         payload += inverse.translate(table_x).translate(table)
             del seen
-            take(payload, keys)
+            take(payload, len(keys), keys)
             for table in moves:  # z x has the base images of x under z
                 if not label[self._rank(keys[0].translate(table))]:
-                    take(payload.translate(table),
-                         [key.translate(table) for key in keys])
+                    take(payload, len(keys),
+                         (key.translate(table) for key in keys), table)
         return found, label
 
     def walk_set(self) -> list:
@@ -330,29 +331,30 @@ def _length(system, w: bytes) -> int:
     return sum(1 for r, p in enumerate(positive) if p and not positive[w[r]])
 
 
-def _lengths(system, payload: bytes, elements: int) -> bytes:
-    """The lengths of the root permutations joined in the payload,
-    one byte each: per positive root r the column of images of r, 1 where
-    negative, is added as one big integer, a byte per element (a length
-    is at most 128, so no carry crosses a byte)."""
+def _lengths(system, payload: bytes, elements: int, left=_IDENTITY) -> bytes:
+    """The lengths of the root permutations joined in the payload, each
+    after the table left, a byte each: per positive root r the column of
+    images of r, 1 where negative, is added as one big integer, a byte per
+    element (a length is at most 128, so no carry crosses a byte)."""
     n, positive = len(system.roots), system.positive
-    negative = bytes(1 - p for p in positive).ljust(256, b"\x00")
+    negative = left.translate(bytes(1 - p for p in positive) + bytes(256 - n))
     return sum(int.from_bytes(payload[r::n].translate(negative), "big")
                for r in range(n) if positive[r]).to_bytes(elements, "big")
 
 
-def _bfs_key(system, payload, count: int) -> tuple:
-    """((length, word), k) for the element k of the joined payload that
-    the full BFS finds first: least length, then least lex-first reduced
-    word of w^-1 (the BFS reads its frontier in id order and tries s_0,
-    s_1, ... in turn).  The lengths come in bulk (_lengths); the
-    least-length elements descend together as _descend does, each step
+def _bfs_key(system, payload, count: int, left=_IDENTITY) -> tuple:
+    """((length, word), k) for the element k of the joined payload, each
+    after the left factor, that the full BFS finds first: least length,
+    then least lex-first reduced word of w^-1 (the BFS reads its frontier
+    in id order and tries s_0, s_1, ... in turn).  The lengths come in
+    bulk (_lengths); only the least-length elements are translated by the
+    left factor, and they descend together as _descend does, each step
     reading the first simple root w sends to a negative root off two
     translates, and only those taking the least letter go on."""
-    n, lengths = len(system.roots), _lengths(system, payload, count)
+    n, lengths = len(system.roots), _lengths(system, payload, count, left)
     base, positive = bytes(system.simple_root_indices), _table(system.positive)
     least = min(lengths)
-    alive = [(k, payload[k * n:k * n + n])
+    alive = [(k, payload[k * n:k * n + n].translate(left))
              for k, length in enumerate(lengths) if length == least]
     word = ()
     for _ in range(least):
@@ -484,12 +486,10 @@ class CacheFormatError(ValueError):
 
 def save_group(group: Group, path) -> None:
     """Write a versioned binary snapshot: the header, the orbit lengths of
-    the stabilizer chain and the SHA-256 digest of both, which load_group
-    compares with a chain rebuilt from the label.  The file is written
-    under a temporary name and renamed into place."""
-    # hashlib is imported only here and in load_group: it loads OpenSSL,
-    # about 4 MB of resident memory that a run without the cache never needs
-    import hashlib
+    the stabilizer chain and the 4-byte zlib.crc32 of both, which
+    load_group compares with a chain rebuilt from the label.  The file is
+    written under a temporary name and renamed into place."""
+    import zlib  # only the cache reads it, and the CLI has it loaded
     label, lengths = group.system.label.encode(), group.lengths
     head = (struct.pack("<4sBBH", _CACHE_MAGIC, CACHE_VERSION, 1, len(label))
             + label
@@ -498,16 +498,16 @@ def save_group(group: Group, path) -> None:
             + struct.pack(f"<{len(lengths)}I", *lengths))
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(head + hashlib.sha256(head).digest())
+        fh.write(head + struct.pack("<I", zlib.crc32(head)))
     os.replace(tmp, path)
 
 
 def load_group(path) -> Group:
     """Rebuild a group from a snapshot: its chain is rebuilt from the label,
-    and the file must match its digest and the rebuilt orbit lengths.  A
+    and the file must match its checksum and the rebuilt orbit lengths.  A
     file of any other version is refused: warming it again takes
     milliseconds."""
-    import hashlib  # see save_group
+    import zlib  # see save_group
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -542,11 +542,11 @@ def load_group(path) -> Group:
         raise CacheFormatError(
             f"{path}: order {order} does not match |W({label})| = "
             f"{system_order(factors)}")
-    if len(blob) != offset + 32:
+    if len(blob) != offset + 4:
         raise CacheFormatError(f"{path}: {len(blob) - offset} bytes follow "
-                               "the header, expected its 32-byte digest")
-    if hashlib.sha256(blob[:offset]).digest() != blob[offset:]:
-        raise CacheFormatError(f"{path}: the file does not match its digest")
+                               "the header, expected its 4-byte CRC-32")
+    if struct.pack("<I", zlib.crc32(blob[:offset])) != blob[offset:]:
+        raise CacheFormatError(f"{path}: the file does not match its CRC-32")
     try:
         group = Group(system_from_spec(label))
     except CertificateError as exc:

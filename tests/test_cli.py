@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -374,7 +374,7 @@ def test_cache_warm_list_count_clear(capsys, tmp_path):
 
     code, out, _ = _run(capsys, "cache", "list", "--cache-dir", cache)
     assert code == 0
-    assert "F4  order=1152" in out and "version=5" in out
+    assert "F4  order=1152" in out and "version=6" in out
 
     code, out, _ = _run(capsys, "count", "F4", "--strategy", "brute",
                         "--cache-dir", cache, "--format", "json")
@@ -442,22 +442,22 @@ def test_corrupt_cache_is_an_io_error(capsys, tmp_path):
                           "--cache-dir", str(cache))
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "cache version 4, expected 5; run `cache warm` again" in err
+    assert "cache version 4, expected 6; run `cache warm` again" in err
 
 
 def test_a_version_5_cache_with_a_changed_orbit_length_or_label_exits_4(
         capsys, tmp_path):
-    # under a digest that matches, so only the chain rebuilt from the
-    # label can tell: A1+B2 has orbit lengths (2, 4, 2), and B2+A1, with
-    # the same roots and order, (4, 2, 2)
+    # version 6 keeps version 5's fields; under a CRC-32 that matches,
+    # only the chain rebuilt from the label can tell: A1+B2 has orbit
+    # lengths (2, 4, 2), and B2+A1, with the same roots and order, (4, 2, 2)
     _run(capsys, "cache", "warm", "A1+B2", "--cache-dir", str(tmp_path))
     path = tmp_path / "A1_B2.grp"
     raw = path.read_bytes()
-    assert raw[8:13] == b"A1+B2" and raw[-44:-32] == struct.pack("<3I", 2, 4, 2)
+    assert raw[8:13] == b"A1+B2" and raw[-16:-4] == struct.pack("<3I", 2, 4, 2)
     for forged, message in (
-            (raw[:-40] + struct.pack("<I", 2) + raw[-36:-32], "orbit lengths"),
-            (raw[:8] + b"B2+A1" + raw[13:-32], "orbit lengths")):
-        path.write_bytes(forged + hashlib.sha256(forged).digest())
+            (raw[:-12] + struct.pack("<I", 2) + raw[-8:-4], "orbit lengths"),
+            (raw[:8] + b"B2+A1" + raw[13:-4], "orbit lengths")):
+        path.write_bytes(forged + struct.pack("<I", zlib.crc32(forged)))
         code, out, err = _run(capsys, "count", "A1+B2", "--strategy",
                               "brute", "--cache-dir", str(tmp_path))
         assert (code, out) == (4, "") and message in err, forged

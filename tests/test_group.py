@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import random
 import struct
+import zlib
 from math import prod
 
 import pytest
@@ -467,6 +467,11 @@ def test_pruned_bfs_key_is_the_per_member_descent_key(label):
         assert group_module._bfs_key(group.system, payload, len(members)) \
             == _descend_key(group.system, elements[::-1]) \
             == (key, len(members) - 1), (label, members[0])
+        for z in group.center()[1:]:  # z C, read with z as a left factor
+            shifted = [_compose(z, w) for w in elements[::-1]]
+            assert group_module._bfs_key(group.system, payload, len(members),
+                                         _table(z)) \
+                == _descend_key(group.system, shifted), (label, members[0])
 
 
 @pytest.mark.parametrize("label, size", [("A0", 0), ("A1", 1), ("B2", 2),
@@ -547,18 +552,18 @@ def test_cache_roundtrip_of_the_smallest_groups(tmp_path, label):
 def test_a_fresh_cache_file_is_the_header_the_orbit_lengths_and_a_digest(
         tmp_path):
     # the header of every version, the orbit lengths of the stabilizer
-    # chain where the generator ids were, and the SHA-256 of both: A7
-    # (40,320 elements, 2.3 MB in version 2) in 84 bytes
+    # chain where the generator ids were, and the CRC-32 of both: A7
+    # (40,320 elements, 2.3 MB in version 2) in 56 bytes
     group = generate_group(system_from_spec("A7"))
     assert group.lengths == (56, 6, 5, 4, 3, 2, 1)
     label, lengths = b"A7", group.lengths
-    head = (struct.pack("<4sBBH", b"CXGC", 5, 1, len(label)) + label
+    head = (struct.pack("<4sBBH", b"CXGC", 6, 1, len(label)) + label
             + struct.pack("<IQH", 56, group.order, len(lengths))
             + struct.pack(f"<{len(lengths)}I", *lengths))
     save_group(group, tmp_path / "a7.grp")
     raw = (tmp_path / "a7.grp").read_bytes()
-    assert raw == head + hashlib.sha256(head).digest()
-    assert len(raw) == 84
+    assert raw == head + struct.pack("<I", zlib.crc32(head))
+    assert len(raw) == 56
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -578,22 +583,33 @@ def test_cache_rejects_corruption(tmp_path):
         load_group(path)
     # after the 8-byte header and the label "A2": root count (4 bytes),
     # order (8), count of orbit lengths (2), the orbit lengths (6, 1), 4
-    # bytes each, then the 32-byte digest of all that
+    # bytes each, then the 4-byte CRC-32 of all that
     assert struct.unpack_from("<2I", raw, 24) == group.lengths == (6, 1)
+    assert len(raw) == 36
     for bad in (raw[:14] + struct.pack("<Q", 3) + raw[22:],   # order != |W|
-                raw[:-1],                                    # short digest
+                raw[:-1],                                    # short CRC
                 raw + b"\x00",                               # trailing byte
                 raw[:24] + struct.pack("<I", 3) + raw[28:],   # orbit length
-                raw[:40] + bytes([raw[40] ^ 1]) + raw[41:],   # bad digest
-                raw[:-6] + raw[-6:][::-1]):                  # bad digest
+                raw[:33] + bytes([raw[33] ^ 1]) + raw[34:],   # bad CRC
+                raw[:-4] + raw[-4:][::-1]):                  # bad CRC
         path.write_bytes(bad)
         with pytest.raises(CacheFormatError):
             load_group(path)
+    # B3 -> C3, one bit of the label: the same group, so the same roots,
+    # order and orbit lengths, and only the checksum refuses it
+    save_group(generate_group(system_from_spec("B3")), path)
+    raw = path.read_bytes()
+    assert raw[8:10] == b"B3" and ord("B") ^ ord("C") == 1
+    path.write_bytes(raw[:8] + b"C3" + raw[10:])
+    with pytest.raises(CacheFormatError, match="CRC-32"):
+        load_group(path)
+    path.write_bytes(_redigested(raw[:8] + b"C3" + raw[10:]))
+    assert load_group(path).lengths == (6, 4, 2)
 
 
 def _redigested(raw: bytes) -> bytes:
-    """A version 5 file image with its digest made to match again."""
-    return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
+    """A version 6 file image with its CRC-32 made to match again."""
+    return raw[:-4] + struct.pack("<I", zlib.crc32(raw[:-4]))
 
 
 def test_cache_orbit_lengths_are_checked_under_a_matching_digest(tmp_path):
@@ -603,7 +619,7 @@ def test_cache_orbit_lengths_are_checked_under_a_matching_digest(tmp_path):
     path = tmp_path / "g.grp"
     save_group(group, path)
     raw = path.read_bytes()
-    at = len(raw) - 32 - 12  # the three orbit lengths
+    at = len(raw) - 4 - 12  # the three orbit lengths
     for k, wrong in ((0, 4), (1, 2), (2, 4)):
         field = at + 4 * k
         path.write_bytes(_redigested(raw[:field] + struct.pack("<I", wrong)
@@ -618,20 +634,20 @@ def test_cache_orbit_lengths_are_checked_under_a_matching_digest(tmp_path):
 
 
 def test_cache_of_a_system_past_the_ring_limit_is_refused(tmp_path):
-    # a version 5 file, under a digest that matches, that is right in
+    # a version 6 file, under a CRC-32 that matches, that is right in
     # everything but the system, which could never have been enumerated;
     # the refusal comes before any root
     label = b"I2(7)+I2(9)+I2(11)"
     path = tmp_path / "wide.grp"
-    head = (struct.pack("<4sBBH", b"CXGC", 5, 1, len(label)) + label
+    head = (struct.pack("<4sBBH", b"CXGC", 6, 1, len(label)) + label
             + struct.pack("<IQH", 54, 5544, 0))
-    path.write_bytes(head + hashlib.sha256(head).digest())
+    path.write_bytes(_redigested(head + bytes(4)))
     with pytest.raises(CacheFormatError, match="ring limit"):
         load_group(path)
 
 
 def test_cache_of_e8_is_refused_before_its_walk(tmp_path):
-    # a version 5 file is a hundred bytes whatever the group, so one of
+    # a version 6 file is under a hundred bytes whatever the group, so one of
     # W(E8) could be forged; loading it refuses as enumerating it does
     group = Group(system_from_spec("E8"))
     assert group.order == 696_729_600
@@ -648,27 +664,28 @@ _A2_CACHE_V1 = bytes.fromhex(
 
 
 def test_cache_written_by_version_1_is_refused(tmp_path):
-    # and the element stores of versions 2-4, here a fresh file with its
-    # version byte changed: load_group reads version 5 only, and a file
-    # warmed again is one
+    # and the element stores of versions 2-4 and the SHA-256 of version 5,
+    # here a fresh file with its version byte changed: load_group reads
+    # version 6 only, and a file warmed again is one
     path = tmp_path / "a2.grp"
     save_group(generate_group(system_from_spec("A2")), path)
     raw = path.read_bytes()
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         path.write_bytes(_A2_CACHE_V1 if version == 1
                          else raw[:4] + bytes([version]) + raw[5:])
         with pytest.raises(CacheFormatError,
-                           match=f"version {version}, expected 5; run "
+                           match=f"version {version}, expected 6; run "
                                  "`cache warm` again"):
             load_group(path)
 
 
 def test_a_fresh_cache_file_carries_version_5(tmp_path):
-    # version 5 stores no element: B3 (48 elements) in under a hundred bytes
+    # version 6, like version 5, stores no element: B3 (48 elements) in
+    # 40 bytes
     group = generate_group(system_from_spec("B3"))
     save_group(group, tmp_path / "b3.grp")
     raw = (tmp_path / "b3.grp").read_bytes()
-    assert raw[:4] == b"CXGC" and raw[4] == 5 and len(raw) < 100
+    assert raw[:4] == b"CXGC" and raw[4] == 6 and len(raw) == 40
 
 
 def test_shared_group_memoizes():

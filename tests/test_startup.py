@@ -55,6 +55,17 @@ def test_a_closed_count_loads_no_json_csv_or_suites():
     assert not loaded & (UNUSED | {"json", "csv"})
 
 
+def test_a_cache_round_trip_loads_no_openssl(tmp_path):
+    # the cache's checksum is zlib's crc32: hashlib would map libcrypto
+    loaded = _newly_loaded("from coxtraces.cli import main\n"
+                           f"main(['cache', 'warm', 'H3', '--cache-dir', "
+                           f"{str(tmp_path)!r}])\n"
+                           "main(['count', 'H3', '--strategy', 'brute', "
+                           f"'--cache-dir', {str(tmp_path)!r}])")
+    assert (tmp_path / "H3.grp").exists() and "coxtraces.group" in loaded
+    assert not loaded & {"hashlib", "_hashlib", "_blake2"}
+
+
 def test_every_exported_name_resolves():
     assert all(hasattr(coxtraces, name) for name in coxtraces.__all__)
     from coxtraces import models  # the fixtures live here, not at the root
