@@ -59,23 +59,19 @@ def conjugacy_classes(group: Group):
     per class (det M = (-1)^r det(0I - M)), from the power traces of its
     representative (Group.power_traces); no matrix is built.
     """
-    system = group.system
+    system, out = group.system, []
     ring, sign = system.ring, (-1) ** system.rank
-    out = []
-    for members in group.class_orbits():
-        seed = members[0]
+    for seed, size in group.class_orbits():
         char_poly = charpoly_from_traces(ring, group.power_traces(seed))
         plus, minus = _eigen_flags(system, char_poly)
         c0 = char_poly[0]
         if abs(c0[0]) != 1 or any(c0[1:]):
             raise CertificateError(f"det(-M) = {ring.text(c0)} is not "
                                    f"+-1 for class of id {seed}")
-        out.append(ConjugacyClass(GroupElement(group, seed), len(members),
+        out.append(ConjugacyClass(GroupElement(group, seed), size,
                                   c0[0] * sign, char_poly, plus, minus))
-    total = sum(c.size for c in out)
-    if total != group.order:
-        raise CertificateError(f"classes cover {total} of {group.order} "
-                               "elements")
+    if (total := sum(c.size for c in out)) != group.order:
+        raise CertificateError(f"classes cover {total} of {group.order} elements")
     expected = prod(f.class_count for f in system.factors)
     if len(out) != expected:
         raise CertificateError(f"{len(out)} classes found, but "
@@ -115,10 +111,15 @@ def _certify_fixed_dims(system: RootSystem, classes) -> None:
 
 
 def count_brute_force(group: Group) -> TraceCount:
-    """Trace/supertrace counts by full class enumeration."""
+    """Trace/supertrace counts by full class enumeration, certified to have
+    T = S exactly when -identity lies in W (decided with no enumeration)."""
     classes = conjugacy_classes(group)
-    return TraceCount(sum(not c.has_plus_one for c in classes),
-                      sum(not c.has_minus_one for c in classes), "brute_force")
+    t = sum(not c.has_plus_one for c in classes)
+    s = sum(not c.has_minus_one for c in classes)
+    if (t == s) != contains_minus_identity(group.system):
+        raise CertificateError(f"{group.system.label}: T = {t}, S = {s}, "
+                               "but T = S exactly when -identity is in W")
+    return TraceCount(t, s, "brute_force")
 
 
 def _factors_of(system_or_spec) -> tuple:

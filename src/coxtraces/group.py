@@ -11,17 +11,19 @@ reflections, with a transversal, and no Schreier-Sims is needed.  Each
 w is u_1 u_2 ... u_r, one transversal element per level; its id is the
 mixed radix of their orbit positions, read off the r base images
 w(alpha_i) (the identity is id 0), and an id gives back its element by
-r compositions.  The tail levels, of order at most _TAIL_ORDER together,
-are merged into one dict keyed by the base images.  Certified: the orbit
-lengths multiply to |W| from the degrees.  Each level's group lies in
-the true stabilizer, so a missing generator makes the product short.
+r compositions.  A rank is two dict lookups: the head levels precomposed,
+keyed by the images they read, then the tail levels (of order at most
+_TAIL_ORDER) keyed by all r.  Certified: the orbit lengths multiply to
+|W| from the degrees.  Each level's group lies in the true stabilizer,
+so a missing generator makes the product short.
 
-Conjugacy classes are walked modulo the certified centre of W: z C is
-a class for every central z, so once the walk has found C it takes each
-z C whole, with no conjugation.  The centre is the product of the
-factor centres, each {1, -1 on that factor} or trivial.  The classes
-come in the order of the full BFS by left multiplication (_bfs_key),
-which nothing builds.
+Conjugacy classes are walked modulo the certified centre of W: z C is a
+class for every central z, so once the walk has found C it takes each
+z C whole, with no conjugation.  The centre is the product of the factor
+centres, each {1, -1 on that factor} or trivial.  The walk keeps one
+visited byte per element and the class it is walking; it returns each
+class's representative and size, in the order of the full BFS by left
+multiplication (_bfs_key), which nothing builds.
 
 Roots are coordinate vectors in the simple basis over the system's ring
 Z[2cos(pi/N)], so the matrix of an element on the span of the roots has
@@ -39,12 +41,10 @@ from __future__ import annotations
 
 import os
 import struct
-from array import array
 from collections import namedtuple
 from functools import reduce
 from itertools import count
 from math import prod
-from operator import itemgetter
 
 from .linalg import CertificateError, Matrix
 from .roots import (BudgetExceededError, RootSystem, checked_ring_index,
@@ -105,14 +105,17 @@ class Group:
                 f"|W| = {expected} from the degrees")
         # for perm: the last level first, transversal elements as tables
         self._up = [[_table(u) for u in level] for level in reversed(levels)]
-        cut = next(k for k in range(len(levels) + 1)
-                   if prod(self.lengths[k:]) <= _TAIL_ORDER)
-        # for _rank: per head level, each orbit root's share of the id and
-        # its transversal element's inverse table; then the tail's dict
-        self._head = [{u[a]: (d * prod(self.lengths[k + 1:]),
-                              _table(_invert(u)))
-                       for d, u in enumerate(level)}
-                      for k, (a, level) in enumerate(zip(base[:cut], levels))]
+        self._cut = cut = next(k for k in range(len(levels) + 1)
+                               if prod(self.lengths[k:]) <= _TAIL_ORDER)
+        # for _ranks: the head levels precomposed, keyed by the base images
+        # they read: u_1..u_k sends alpha_k where w does, for w = u_1..u_r
+        head = [(b"", 0, self._identity)]
+        for k, (a, level) in enumerate(zip(base[:cut], levels)):
+            step = prod(self.lengths[k + 1:])
+            head = [(key + bytes([p[u[a]]]), share + d * step, _compose(p, u))
+                    for key, share, p in head for d, u in enumerate(level)]
+        self._head = {key: (share, _table(_invert(p)))
+                      for key, share, p in head}
         tail = [self._base]
         for tables in self._up[:len(levels) - cut]:
             tail = [x.translate(t) for t in tables for x in tail]
@@ -137,23 +140,22 @@ class Group:
 
     def id_of(self, perm: bytes) -> int:
         """The id of an element of W, read off its base images alone (see
-        _rank); whether perm lies in W is `perm in group`."""
+        _ranks); whether perm lies in W is `perm in group`."""
         return self._rank(self._base.translate(_table(perm)))
 
     def _rank(self, images: bytes) -> int:
-        """The id of the element of W with these base images: per head
-        level the share of the orbit root at alpha_k, then the images
-        under that transversal element's inverse, which fixes the earlier
-        base points.  An image outside its level's orbit, as of no element
-        of W, is a CertificateError."""
-        rank, k = 0, 0
+        return next(self._ranks(images, 1))
+
+    def _ranks(self, joined: bytes, size: int):
+        """The ids of the elements of W whose base images are joined, r bytes
+        each: the head's share plus the tail's id of the images under the
+        head's (u_1..u_k)^-1.  Images of no element of W: CertificateError."""
+        head, tail, cut, r = self._head, self._tail, self._cut, len(self._base)
         try:
-            for level in self._head:
-                share, down = level[images[k]]
-                rank += share
-                images = images.translate(down)
-                k += 1
-            return rank + self._tail[images]
+            for j in range(size):
+                images = joined[j * r:j * r + r]
+                share, down = head[images[:cut]]
+                yield share + tail[images.translate(down)]
         except KeyError:
             raise CertificateError(
                 f"base images {list(images)} lie outside the orbits of the "
@@ -170,11 +172,9 @@ class Group:
 
     def span_matrix_of(self, i: int) -> Matrix:
         """Matrix of element i on the span of the roots, in the simple basis:
-        column b is the root that element i sends simple root b to.
-
-        This is the space on which eigenvalues are counted; for A-type
-        factors it has no fixed all-ones direction, as required.
-        """
+        column b is the root that element i sends simple root b to.  This is
+        the space on which eigenvalues are counted; for A-type factors it has
+        no fixed all-ones direction, as required."""
         perm, system = self.perm(i), self.system
         return Matrix.from_columns([system.roots[perm[b]]
                                     for b in system.simple_root_indices],
@@ -197,57 +197,58 @@ class Group:
     # -- classes -----------------------------------------------------------------
 
     def class_orbits(self):
-        """Conjugacy classes as id arrays, each starting with its
-        representative: orbits under conjugation by the certified walk set,
-        in the full BFS order of their members that BFS finds first."""
+        """Conjugacy classes, orbits under conjugation by the certified walk
+        set, as (representative id, size) pairs: each represented by its
+        member the full BFS finds first, in the order of those members."""
         walk = self.walk_set()
         _certify_walk_set(walk, self.system.simple_reflections)
-        found = self._orbits([_walker(g) for g in walk], self.center()[1:])[0]
-        return [m for _, m in sorted(found, key=itemgetter(0))]
+        found = self._orbits([_walker(g) for g in walk], self.center()[1:])
+        return [(rep, size) for _, rep, size in sorted(found)]
 
     def _orbits(self, walkers, shifts=()):
         """Orbits under the conjugations of _walker pairs, as (_bfs_key,
-        ids with the representative first) pairs, and the orbit number
-        (from 1) of each id.  An orbit's elements are joined in one payload,
-        which is also the walk's queue, and told apart by their base images,
-        all a rank reads: those of g x g^-1 take two translates of r bytes.
-        Each shift is a central z: z C is an orbit, C read under z's table."""
-        system, base, n = self.system, self._base, len(self.system.roots)
+        representative id, size) triples.  Kept per element: a visited byte.
+        The orbit being walked is one joined payload, its own queue; each
+        shift is a central z, and z C is ranked off C's payload columns."""
+        base, n, r = self._base, len(self.system.roots), len(self._base)
+        head, tail, cut = self._head, self._tail, self._cut
         walkers = [(inverse, base.translate(_table(inverse)), table)
                    for inverse, table in walkers]
         moves = [_table(z) for z in shifts]
-        label, found = array("I", bytes(4 * self.order)), []
-
-        def take(payload, count, keys, left=_IDENTITY):
-            key, k = _bfs_key(system, payload, count, left)
-            ids = array("I", map(self._rank, keys))
-            ids[0], ids[k] = ids[k], ids[0]
-            found.append((key, ids))
-            for i in ids:
-                label[i] = len(found)
-
-        for seed in range(self.order):
-            if label[seed]:
+        visited, found, seed = bytearray(self.order), [], 0
+        while (seed := visited.find(0, seed)) >= 0:
+            visited[seed] = 1
+            payload, at = bytearray(self.perm(seed)), 0
+            try:  # _ranks, inline
+                while at < len(payload):
+                    x = payload[at:at + n].ljust(256, b"\x00")  # as a table
+                    at += n
+                    for inverse, base_inverse, table in walkers:  # g x g^-1
+                        images = base_inverse.translate(x).translate(table)
+                        share, down = head[images[:cut]]
+                        i = share + tail[images.translate(down)]
+                        if not visited[i]:
+                            visited[i] = 1
+                            payload += inverse.translate(x).translate(table)
+            except KeyError:  # raised again, as _ranks words it
+                self._rank(images)
+            size = len(payload) // n if n else 1  # A0: one empty element
+            key, k = _bfs_key(self.system, payload, size)
+            found.append((key, self.id_of(payload[k * n:k * n + n]), size))
+            if not moves:
                 continue
-            payload = bytearray(self.perm(seed))
-            keys = [base.translate(_table(payload))]
-            seen, at = set(keys), 0
-            while at < len(payload):
-                table_x = payload[at:at + n].ljust(256, b"\x00")
-                at += n
-                for inverse, base_inverse, table in walkers:  # g x g^-1
-                    key = base_inverse.translate(table_x).translate(table)
-                    if key not in seen:
-                        seen.add(key)
-                        keys.append(key)
-                        payload += inverse.translate(table_x).translate(table)
-            del seen
-            take(payload, len(keys), keys)
+            columns = bytearray(r * size)  # r base images a member of C
+            for j, b in enumerate(base):
+                columns[j::r] = payload[b::n]
             for table in moves:  # z x has the base images of x under z
-                if not label[self._rank(keys[0].translate(table))]:
-                    take(payload, len(keys),
-                         (key.translate(table) for key in keys), table)
-        return found, label
+                moved = bytes(columns).translate(table)
+                if visited[self._rank(moved[:r])]:
+                    continue
+                for i in self._ranks(moved, size):
+                    visited[i] = 1
+                key, k = _bfs_key(self.system, payload, size, table)
+                found.append((key, self._rank(moved[k * r:k * r + r]), size))
+        return found
 
     def walk_set(self) -> list:
         """A small generating set to conjugate by: the Coxeter element
@@ -269,8 +270,7 @@ class Group:
         negations (-1 on one factor's roots, every other root fixed) that
         lie in the group, each certified to commute with every simple
         reflection, so with W: then it maps each class onto a class."""
-        system, start = self.system, 0
-        identity = bytes(range(len(system.roots)))
+        system, start, identity = self.system, 0, self._identity
         center = [identity]
         for f in system.factors:
             end = start + f.root_count
@@ -309,8 +309,7 @@ def _walker(g: bytes) -> tuple:
 
 
 def _conjugate(x: bytes, g) -> bytes:
-    """g x g^-1 for g given as (its inverse, its table): g after x after
-    g^-1."""
+    """g x g^-1, g after x after g^-1, for g as (its inverse, its table)."""
     inverse, table = g
     return inverse.translate(_table(x)).translate(table)
 

@@ -16,6 +16,7 @@ from coxtraces.partitions import closed_form_count
 from coxtraces.roots import parse_factor, parse_system_spec, system_from_spec
 from dihedral import dihedral_classes
 from signed_cycles import bn_dn_class_enumeration
+from test_group import _orbits_by_closure
 
 
 def has_eigenvalue(g: GroupElement, value: int) -> bool:
@@ -172,11 +173,35 @@ def test_a_moved_class_member_fails_the_degree_certificate(monkeypatch):
     # sizes still cover the group, but not by fixed dimension
     group = generate_group(system_from_spec("A3"))
     orbits = group.class_orbits()
-    assert [len(m) for m in orbits[:2]] == [1, 6]
-    moved = [orbits[0] + orbits[1][-1:], orbits[1][:-1]] + orbits[2:]
+    (identity, one), (reflection, six) = orbits[:2]
+    assert (one, six) == (1, 6)
+    moved = [(identity, 2), (reflection, 5)] + orbits[2:]
     monkeypatch.setattr(group, "class_orbits", lambda: moved)
     with pytest.raises(RuntimeError, match="degree product"):
         conjugacy_classes(group)
+
+
+def test_a_charpoly_without_eigenvalue_minus_one_fails_the_equality_clause(
+        monkeypatch):
+    # (t+1)^2 of the class of -1 in B2 replaced by t^2+1: det, dim Fix, the
+    # sizes and the class count stay, so every earlier check passes, but
+    # S becomes 3 while T stays 2, and -1 lies in W(B2)
+    group = generate_group(system_from_spec("B2"))
+    original = classes_module.charpoly_from_traces
+
+    def mutated(ring, traces):
+        poly = original(ring, traces)
+        if poly == (ring.one, ring.integer(2), ring.one):
+            return ring.one, ring.zero, ring.one
+        return poly
+    monkeypatch.setattr(classes_module, "charpoly_from_traces", mutated)
+    classes = conjugacy_classes(group)
+    assert [(c.has_plus_one, c.has_minus_one) for c in classes][4] == \
+        (False, False)
+    assert (sum(not c.has_plus_one for c in classes),
+            sum(not c.has_minus_one for c in classes)) == (2, 3)
+    with pytest.raises(CertificateError, match="exactly when -identity"):
+        count_brute_force(group)
 
 
 def test_check_all_members_agrees_on_small_groups():
@@ -184,7 +209,10 @@ def test_check_all_members_agrees_on_small_groups():
     for label in ("A2", "B2", "G2", "I2(5)", "A1+A0"):
         group = shared_group(system_from_spec(label))
         classes = conjugacy_classes(group)
-        for cls, members in zip(classes, group.class_orbits()):
+        orbit_of = {i: m for m in _orbits_by_closure(group, group.walk_set())
+                    for i in m}
+        for cls in classes:
+            members = orbit_of[cls.representative.index]
             assert cls.size == len(members)
             for m in members:
                 g = GroupElement(group, m)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import struct
+import tracemalloc
 import zlib
 from math import prod
 
@@ -386,38 +387,41 @@ def _simple_reflection_walk(group):
     return _orbits_by_closure(group, group.system.simple_reflections)
 
 
+def _assert_walk_is_the_oracle(group, walk, oracle):
+    """The walk's (representative, size) pairs name each orbit of the
+    oracle once, with its size; each is represented by its member the
+    full BFS finds first, and they come in the order of those members.
+    No walk builds that BFS, so it is the oracle here."""
+    orbit_of = {i: k for k, m in enumerate(oracle) for i in m}
+    orbits = [oracle[orbit_of[rep]] for rep, _ in walk]
+    assert sorted(orbit_of[rep] for rep, _ in walk) == list(range(len(oracle)))
+    assert [size for _, size in walk] == list(map(len, orbits))
+    assert sum(size for _, size in walk) == group.order
+    full_index = [0] * group.order  # by id
+    for perm, k in _full_bfs(group.system)[1].items():
+        full_index[group.id_of(perm)] = k
+    least = [min(map(full_index.__getitem__, m)) for m in orbits]
+    assert [full_index[rep] for rep, _ in walk] == least
+    assert least == sorted(least)
+
+
 @pytest.mark.parametrize("label", ["A0", "A0+A3", "B2", "G2", "I2(8)",
                                    "I2(127)", "B5+A3", "A1+H4", "E6", "F4",
                                    "H3+I2(7)", "D6", "A1+B5", "A1+A1+A1",
                                    "B2+I2(12)", "I2(9)+I2(12)"])
 def test_class_walk_equals_the_simple_reflection_walk(label):
     group = shared_group(system_from_spec(label))
-    walk = group.class_orbits()
-    oracle = _simple_reflection_walk(group)
-    assert ({frozenset(m) for m in walk} == {frozenset(m) for m in oracle}
-            and len(walk) == len(oracle))
-    # in the full-BFS numbering the classes come by least element, which
-    # is their representative
-    _, full_index, _ = _full_bfs(group.system)
-    least = [min(full_index[group.perm(i)] for i in m) for m in walk]
-    assert [full_index[group.perm(m[0])] for m in walk] == least
-    assert least == sorted(least)
+    _assert_walk_is_the_oracle(group, group.class_orbits(),
+                               _simple_reflection_walk(group))
 
 
 @pytest.mark.parametrize("label", ["B4", "H3", "H4", "E6", "D6", "F4",
                                    "A5+B2", "H3+I2(7)", "B5+A3", "I2(8)",
                                    "G2+A1", "A1+H4", "A8", "D7"])
 def test_classes_come_in_the_full_bfs_order(label):
-    # each class is represented by its member the full BFS finds first,
-    # and the classes come in the order of those members; no walk builds
-    # that BFS, so it is the oracle here
     group = generate_group(system_from_spec(label))
-    orbits = group.class_orbits()
-    _, full_index, _ = _full_bfs(group.system)
-    least = [min(full_index[group.perm(i)] for i in m) for m in orbits]
-    assert [full_index[group.perm(m[0])] for m in orbits] == least
-    assert least == sorted(least)
-    assert sum(map(len, orbits)) == group.order
+    _assert_walk_is_the_oracle(group, group.class_orbits(),
+                               _orbits_by_closure(group, group.walk_set()))
 
 
 @pytest.mark.parametrize("label", ["A8", "D5+I2(3)", "D6", "A1+B5",
@@ -447,6 +451,33 @@ def test_a_non_central_shift_fails_the_centre_certificate(monkeypatch):
         group.class_orbits()
 
 
+def test_the_class_walk_keeps_a_visited_byte_per_element():
+    # a byte per element and the largest class's payload, n bytes a member,
+    # with slack; a 4-byte label and a member id per element do not fit
+    group = generate_group(system_from_spec("A7"))
+    tracemalloc.start()
+    try:
+        classes = conjugacy_classes(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, largest = len(group.system.roots), max(c.size for c in classes)
+    assert peak < 2 * (group.order + n * largest), (peak, largest)
+
+
+def test_a_walker_outside_w_is_refused_by_the_walk():
+    # a permutation swapping a simple root with its negative is no element
+    # of W: the conjugates it makes have base images outside the chain's
+    # orbits, which the walk's ranking reports as a CertificateError
+    group = generate_group(system_from_spec("A3"))
+    a = group.system.simple_root_indices[1]
+    swap = bytearray(group.perm(0))
+    swap[a], swap[group.system.negation[a]] = group.system.negation[a], a
+    assert bytes(swap) not in group
+    with pytest.raises(CertificateError, match="outside the orbits"):
+        group._orbits([_walker(bytes(swap))])
+
+
 def _descend_key(system, elements):
     """The ranking before the pruned descent: a length and a full
     _descend per least-length element, and that element's place."""
@@ -460,18 +491,23 @@ def _descend_key(system, elements):
 @pytest.mark.parametrize("label", ["D7", "A1+H4", "F4+I2(3)"])
 def test_pruned_bfs_key_is_the_per_member_descent_key(label):
     group = shared_group(system_from_spec(label))
-    found, _ = group._orbits([_walker(g) for g in group.walk_set()])
-    for key, members in found:
-        elements = [group.perm(i) for i in members]
-        payload = b"".join(elements[::-1])  # the representative last
-        assert group_module._bfs_key(group.system, payload, len(members)) \
-            == _descend_key(group.system, elements[::-1]) \
-            == (key, len(members) - 1), (label, members[0])
+    walk = group.walk_set()
+    orbit_of = {i: m for m in _orbits_by_closure(group, walk) for i in m}
+    for key, rep, size in group._orbits([_walker(g) for g in walk]):
+        members = orbit_of[rep]
+        assert len(members) == size
+        # the representative last
+        elements = [group.perm(i) for i in members if i != rep]
+        elements.append(group.perm(rep))
+        payload = b"".join(elements)
+        assert group_module._bfs_key(group.system, payload, size) \
+            == _descend_key(group.system, elements) \
+            == (key, size - 1), (label, rep)
         for z in group.center()[1:]:  # z C, read with z as a left factor
-            shifted = [_compose(z, w) for w in elements[::-1]]
-            assert group_module._bfs_key(group.system, payload, len(members),
+            shifted = [_compose(z, w) for w in elements]
+            assert group_module._bfs_key(group.system, payload, size,
                                          _table(z)) \
-                == _descend_key(group.system, shifted), (label, members[0])
+                == _descend_key(group.system, shifted), (label, rep)
 
 
 @pytest.mark.parametrize("label, size", [("A0", 0), ("A1", 1), ("B2", 2),
