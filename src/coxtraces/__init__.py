@@ -16,9 +16,9 @@ from .linalg import CertificateError, Matrix, Ring, poly_str
 from .roots import (Factor, RootSystem, SpecParseError, build_irreducible,
                     build_system, cartan_matrix, parse_factor,
                     parse_system_spec, system_from_spec)
-from .group import (DEFAULT_BUDGET, HEAVY_THRESHOLD, BudgetExceededError,
-                    CacheFormatError, Group, GroupElement, generate_group,
-                    load_group, save_group, shared_group)
+from .group import (DEFAULT_BUDGET, BudgetExceededError, CacheFormatError,
+                    Group, GroupElement, generate_group, load_group,
+                    save_group)
 from .partitions import (LemmaVerdict, TraceCount, closed_form_count,
                          distinct_odd_partitions, lemma_identity_check,
                          partition_count, partitions_even_summand_count,
@@ -35,8 +35,7 @@ __all__ = [
     "build_system", "cartan_matrix", "parse_factor", "parse_system_spec",
     "system_from_spec",
     "Group", "GroupElement", "BudgetExceededError", "CacheFormatError",
-    "DEFAULT_BUDGET", "HEAVY_THRESHOLD",
-    "generate_group", "shared_group", "save_group", "load_group",
+    "DEFAULT_BUDGET", "generate_group", "save_group", "load_group",
     "TraceCount", "LemmaVerdict",
     "closed_form_count", "partition_count", "partitions_odd_parts",
     "distinct_odd_partitions", "partitions_even_summand_count",

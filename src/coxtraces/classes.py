@@ -19,7 +19,8 @@ from math import prod
 from operator import add, mul
 
 from .group import (DEFAULT_BUDGET, BudgetExceededError, Group, GroupElement,
-                    check_enumerable, contains_minus_identity, generate_group)
+                    check_enumerable, check_fixed_limits,
+                    contains_minus_identity, generate_group)
 from .linalg import CertificateError, charpoly_from_traces, poly_str
 from .partitions import TraceCount, closed_form_count
 from .roots import (Factor, RootSystem, build_irreducible, build_system,
@@ -132,7 +133,7 @@ def _factors_of(system_or_spec) -> tuple:
 
 
 def count(system_or_spec, strategy: str = "auto",
-          budget: int = DEFAULT_BUDGET, heavy: bool = False) -> TraceCount:
+          budget: int = DEFAULT_BUDGET) -> TraceCount:
     """Count traces and supertraces for a (possibly composite) system: a
     RootSystem, a spec string or a sequence of Factors.
 
@@ -146,10 +147,9 @@ def count(system_or_spec, strategy: str = "auto",
     factors = _factors_of(system_or_spec)
     if strategy == "brute":
         if not isinstance(system_or_spec, RootSystem):
-            check_enumerable(factors, budget, heavy)
+            check_enumerable(factors, budget)
             system_or_spec = build_system(factors)
-        return count_brute_force(generate_group(system_or_spec, budget=budget,
-                                                heavy=heavy))
+        return count_brute_force(generate_group(system_or_spec, budget=budget))
     result = reduce(mul, map(closed_form_count, factors))
     if len(factors) > 1:
         return TraceCount(result.traces, result.supertraces, "composed")
@@ -191,8 +191,8 @@ def verify_inequality_theorem(system_or_spec) -> InequalityVerdict:
     factor_results = []
     minus = True
     for factor in factors:
-        try:  # nothing is enumerated: only the root and ring limits apply
-            check_enumerable((factor,), factor.order, heavy=True, allow_e8=True)
+        try:  # nothing is enumerated: only the fixed limits apply
+            check_fixed_limits((factor,))
         except BudgetExceededError:
             present, method = factor.contains_minus_identity, "table"
         else:

@@ -5,7 +5,7 @@ for fixed inputs (timing goes to stderr), so runs can be diffed.  Exit
 codes: 0 success, 1 verification failure or a failed certificate
 (CertificateError, whose message goes to stderr before any result is
 printed), 2 usage or parse error, 3 enumeration refused (root limit,
-ring limit, budget or heavy threshold), 4 I/O problem.  Class reports
+ring limit, budget or E8), 4 I/O problem.  Class reports
 print charpoly coefficients in the forms of coxtraces.linalg.Ring.text
 and Ring.as_json, which depend only on the system's ring index N.
 """
@@ -123,8 +123,7 @@ def _group(args, factors, budget: int, cached: bool = True):
     """The group from the cache directory if it holds one (and cached),
     else its chain.  The refusals come first, before any root is built,
     and hold for a cached group too: the class walk enumerates W."""
-    check_enumerable(factors, budget, args.heavy,
-                     args.unsupported_e8_enumeration)
+    check_enumerable(factors, budget)
     cache_dir, label = _effective_cache_dir(args), system_label(factors)
     path = cache_dir and _cache_path(cache_dir, label)
     if cached and path and os.path.exists(path):
@@ -133,9 +132,7 @@ def _group(args, factors, budget: int, cached: bool = True):
             raise CacheFormatError(
                 f"{path} holds {group.system.label}, not {label}")
         return group
-    return generate_group(build_system(factors), budget=budget,
-                          heavy=args.heavy,
-                          allow_e8=args.unsupported_e8_enumeration)
+    return generate_group(build_system(factors), budget=budget)
 
 
 # -- commands ----------------------------------------------------------------
@@ -337,13 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None,
                        help=f"enumeration budget (default {DEFAULT_BUDGET:,}, "
                             f"or {ENV_BUDGET})")
-        if enumerates:  # only count, classes and cache read these
+        if enumerates:  # only count, classes and cache read it
             p.add_argument("--cache-dir", default=None,
                            help=f"group cache directory (or {ENV_CACHE_DIR})")
-            p.add_argument("--heavy", action="store_true",
-                           help="allow enumerations past the heavy threshold")
-            p.add_argument("--unsupported-e8-enumeration", action="store_true",
-                           help=argparse.SUPPRESS)
 
     p_count = sub.add_parser("count", help="trace/supertrace counts for a system")
     p_count.add_argument("system", help="e.g. 'B4+D5+I2(7)+A0'")

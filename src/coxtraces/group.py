@@ -29,8 +29,10 @@ Roots are coordinate vectors in the simple basis over the system's ring
 Z[2cos(pi/N)], so the matrix of an element on the span of the roots has
 the images of the simple roots as its columns.  Whether a system is
 enumerated at all is decided from the factor formulas (check_enumerable)
-before any root is built: the limits are 256 roots, N <= 128, the
-budget and the heavy threshold.
+before any root is built: the fixed limits are 256 roots and N <= 128
+(check_fixed_limits); past them the budget is the one size limit, and
+W(E8) is refused whatever the budget, its counts coming from the closed
+form.
 
 A cache file holds no element either: the label, the orbit lengths and
 their CRC-32 (zlib's, which loads no OpenSSL), checked against a chain
@@ -52,9 +54,6 @@ from .roots import (BudgetExceededError, RootSystem, checked_ring_index,
                     system_from_spec, system_label, system_order)
 
 DEFAULT_BUDGET = 10_000_000
-# enumerations past this order (W(E7), D8, A9, ...) must be asked for explicitly
-HEAVY_THRESHOLD = 1_000_000
-
 _E8_ORDER = 696_729_600
 
 _MAX_ROOTS = 256  # one byte per root
@@ -74,9 +73,6 @@ class GroupElement(namedtuple("GroupElement", "group index")):
     __slots__ = ()
     __add__ = __radd__ = __mul__ = __rmul__ = refuse_tuple_arithmetic
     __lt__ = __le__ = __gt__ = __ge__ = refuse_tuple_arithmetic
-
-    def matrix(self) -> Matrix:
-        return self.group.span_matrix_of(self.index)
 
     def __repr__(self):
         return f"GroupElement({self.group.system.label}, {self.index})"
@@ -404,21 +400,25 @@ def _certify_walk_set(walk, simple) -> None:
                                "generate W")
 
 
-def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
-                     heavy: bool = False, allow_e8: bool = False) -> None:
-    """Refuse, from the factor formulas alone, what generate_group cannot
-    or should not enumerate: more than 256 roots, a coordinate ring
-    Z[2cos(pi/N)] with N > 128, anything above the budget and, unless
-    explicitly unlocked, W(E8) and orders past the heavy threshold."""
-    label = system_label(factors)
+def check_fixed_limits(factors) -> None:
+    """Refuse, from the factor formulas alone, what no root model here can
+    hold: more than 256 roots, or a coordinate ring Z[2cos(pi/N)] with
+    N > 128."""
     n = sum(f.root_count for f in factors)
     if n > _MAX_ROOTS:
         raise BudgetExceededError(
-            f"{label} has {n} roots; enumeration stores one byte per "
-            f"root, so it is limited to {_MAX_ROOTS} roots")
+            f"{system_label(factors)} has {n} roots; enumeration stores one "
+            f"byte per root, so it is limited to {_MAX_ROOTS} roots")
     checked_ring_index(factors)
-    estimate = system_order(factors)
-    if any(f.family == "E" and f.n == 8 for f in factors) and not allow_e8:
+
+
+def check_enumerable(factors, budget: int = DEFAULT_BUDGET) -> None:
+    """Refuse, from the factor formulas alone, what generate_group cannot
+    or should not enumerate: past the fixed limits, W(E8) and anything
+    above the budget."""
+    check_fixed_limits(factors)
+    label, estimate = system_label(factors), system_order(factors)
+    if any(f.family == "E" and f.n == 8 for f in factors):
         raise BudgetExceededError(
             f"enumerating {label} means walking W(E8) "
             f"(order {_E8_ORDER:,}), which is beyond desk scale; counts for it "
@@ -428,17 +428,12 @@ def check_enumerable(factors, budget: int = DEFAULT_BUDGET,
             f"estimated order {estimate:,} of {label} exceeds the "
             f"enumeration budget {budget:,} (W(E8), order {_E8_ORDER:,}, is "
             "the known system above the default budget)")
-    if estimate > HEAVY_THRESHOLD and not heavy:
-        raise BudgetExceededError(
-            f"estimated order {estimate:,} of {label} exceeds "
-            f"{HEAVY_THRESHOLD:,}; pass heavy=True (--heavy) to run it")
 
 
-def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
-                   heavy: bool = False, allow_e8: bool = False) -> Group:
+def generate_group(system: RootSystem, budget: int = DEFAULT_BUDGET) -> Group:
     """The reflection group of a root system, after the refusals of
     check_enumerable: its certified stabilizer chain, built in milliseconds."""
-    check_enumerable(system.factors, budget, heavy, allow_e8)
+    check_enumerable(system.factors, budget)
     return Group(system)
 
 
@@ -459,21 +454,6 @@ def contains_minus_identity(system: RootSystem) -> bool:
     every positive root to a negative root (Humphreys 1.8)."""
     # directions with no roots are fixed pointwise by every element
     return system.trivial_dims == 0 and longest_element(system) == system.negation
-
-
-# -- shared in-process cache ----------------------------------------------------
-
-
-_SHARED: dict = {}
-
-
-def shared_group(system: RootSystem, budget: int = DEFAULT_BUDGET,
-                 heavy: bool = False) -> Group:
-    """Memoized generate_group keyed by the system label."""
-    if system.label not in _SHARED:
-        _SHARED[system.label] = generate_group(system, budget=budget,
-                                               heavy=heavy)
-    return _SHARED[system.label]
 
 
 # -- on-disk cache ----------------------------------------------------------------
@@ -534,7 +514,7 @@ def load_group(path) -> Group:
         raise CacheFormatError(
             f"{path}: root count {n} does not match the {label} model")
     try:  # the walk of a loaded group must fit as a fresh one would
-        check_enumerable(factors, heavy=True)
+        check_enumerable(factors)
     except BudgetExceededError as exc:
         raise CacheFormatError(f"{path}: {exc}") from exc
     if order != system_order(factors):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .classes import conjugacy_classes
-from .group import shared_group
+from .group import generate_group
 from .linalg import Matrix, coordinate_ring
 from .roots import build_irreducible, closure, parse_factor
 
@@ -153,7 +153,7 @@ def h4_class_census() -> H4CensusVerdict:
     exactly the l0 != r0 ones drop it.
     """
     problems = []
-    group = shared_group(build_irreducible(parse_factor("H4")))
+    group = generate_group(build_irreducible(parse_factor("H4")))
     classes = conjugacy_classes(group)
     if len(classes) != 34:
         problems.append(f"{len(classes)} classes, expected 34")

@@ -17,7 +17,7 @@ import pytest
 
 from coxtraces.classes import conjugacy_classes, count, count_brute_force
 from coxtraces.group import (BudgetExceededError, contains_minus_identity,
-                             generate_group, shared_group)
+                             generate_group)
 from coxtraces.models import h3_charpoly_table_check, h4_class_census
 from coxtraces.partitions import closed_form_count, lemma_identity_check
 from coxtraces.roots import parse_factor, system_from_spec
@@ -59,7 +59,7 @@ def test_criterion_1_table_reproduction():
 @pytest.mark.heavy
 def test_criterion_1_heavy_e7_enumeration():
     with criterion("1-heavy", "E7 enumerated"):
-        group = generate_group(system_from_spec("E7"), heavy=True)
+        group = generate_group(system_from_spec("E7"))
         assert count_brute_force(group).pair() == (12, 12)
         assert contains_minus_identity(group.system)
 
@@ -151,8 +151,8 @@ def test_criterion_8_dihedral_family():
         hexagon = count("I2(6)", strategy="brute")
         crystal = count("G2", strategy="brute")
         assert hexagon.pair() == crystal.pair() == (3, 3)
-        g2 = shared_group(system_from_spec("G2"))
-        i26 = shared_group(system_from_spec("I2(6)"))
+        g2 = generate_group(system_from_spec("G2"))
+        i26 = generate_group(system_from_spec("I2(6)"))
         assert len(conjugacy_classes(g2)) == len(conjugacy_classes(i26)) == 6
 
 
@@ -160,7 +160,7 @@ def test_criterion_9_e8_stays_closed_form():
     with criterion(9, "E8 enumeration exceeds desk scale"):
         system = system_from_spec("E8")
         with pytest.raises(BudgetExceededError):
-            generate_group(system, heavy=True, budget=10 ** 10)
+            generate_group(system, budget=10 ** 10)
         result = count("E8")
         assert result.pair() == (30, 30)
         assert result.method == "closed_form"

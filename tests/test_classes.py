@@ -10,7 +10,7 @@ from coxtraces import classes as classes_module
 from coxtraces import group as group_module
 from coxtraces.classes import (conjugacy_classes, count, count_brute_force,
                                verify_inequality_theorem)
-from coxtraces.group import Group, GroupElement, generate_group, shared_group
+from coxtraces.group import Group, GroupElement, generate_group
 from coxtraces.linalg import CertificateError
 from coxtraces.partitions import closed_form_count
 from coxtraces.roots import parse_factor, parse_system_spec, system_from_spec
@@ -73,7 +73,7 @@ def classical_class_count(factor) -> int:
 def test_class_counts(spec):
     # the enumerated classes against the classical class numbers; a
     # product system has the product of its factors' numbers
-    group = shared_group(system_from_spec(spec))
+    group = generate_group(system_from_spec(spec))
     classes = conjugacy_classes(group)
     assert len(classes) == prod(map(classical_class_count,
                                     parse_system_spec(spec)))
@@ -113,7 +113,7 @@ def test_walk_set_that_splits_classes_fails_the_class_count(monkeypatch):
 
 
 def test_identity_class():
-    group = shared_group(system_from_spec("B3"))
+    group = generate_group(system_from_spec("B3"))
     classes = conjugacy_classes(group)
     identity_cls = next(c for c in classes if c.size == 1 and c.det == 1
                         and c.has_plus_one and not c.has_minus_one)
@@ -123,7 +123,7 @@ def test_identity_class():
 def test_full_cycle_has_no_fixed_vector():
     # the 3-cycle class of the symmetric group on 3 letters acts on the
     # plane with characteristic polynomial t^2 + t + 1
-    group = shared_group(system_from_spec("A2"))
+    group = generate_group(system_from_spec("A2"))
     classes = conjugacy_classes(group)
     cycles = [c for c in classes if not c.has_plus_one]
     assert len(cycles) == 1
@@ -138,7 +138,7 @@ def test_fixed_dimensions_follow_the_degrees(label):
     # t^trivial_dims prod (t + d_i - 1); at t = 0 that counts the elements
     # of the classes that T counts
     system = system_from_spec(label)
-    group = shared_group(system)
+    group = generate_group(system)
     classes = conjugacy_classes(group)
     product = 1
     for factor in system.factors:
@@ -207,7 +207,7 @@ def test_a_charpoly_without_eigenvalue_minus_one_fails_the_equality_clause(
 def test_check_all_members_agrees_on_small_groups():
     # the flags read off each class representative hold for every member
     for label in ("A2", "B2", "G2", "I2(5)", "A1+A0"):
-        group = shared_group(system_from_spec(label))
+        group = generate_group(system_from_spec(label))
         classes = conjugacy_classes(group)
         orbit_of = {i: m for m in _orbits_by_closure(group, group.walk_set())
                     for i in m}
@@ -254,7 +254,7 @@ def test_count_rejects_unknown_strategy():
 
 
 def test_has_eigenvalue_on_elements():
-    group = shared_group(system_from_spec("B2"))
+    group = generate_group(system_from_spec("B2"))
     assert has_eigenvalue(group.identity, 1)
     assert not has_eigenvalue(group.identity, -1)
     elements = [GroupElement(group, i) for i in range(group.order)]
@@ -267,7 +267,7 @@ def test_has_eigenvalue_on_elements():
 
 def test_empty_factor_counts_through_the_group_engine():
     # a fixed line changes the eigenvalue bookkeeping: +1 is always present
-    group = shared_group(system_from_spec("A1+A0"))
+    group = generate_group(system_from_spec("A1+A0"))
     classes = conjugacy_classes(group)
     assert all(c.has_plus_one for c in classes)
     assert count_brute_force(group).pair() == (0, 1)
@@ -291,8 +291,8 @@ def test_theorem_verdict_on_strict_inequality():
 
 def test_theorem_verdict_checks_w0_past_the_enumeration_allowance(
         monkeypatch):
-    # -I is found from w0 alone, so E7 and E8 (orders past the heavy
-    # threshold and the budget) are engine-checked without a group
+    # -I is found from w0 alone, so E7 and E8 (refused for enumeration
+    # whatever the budget) are engine-checked without a group
     def refuse(*args, **kwargs):
         raise AssertionError("a group was enumerated")
     monkeypatch.setattr(group_module, "closure", refuse)
@@ -352,7 +352,7 @@ def test_printed_coefficients_are_the_charpoly_at_eta(spec):
     # eta = 2cos(pi/N), against det(tI - M) in floating point
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    group = shared_group(system_from_spec(spec))
+    group = generate_group(system_from_spec(spec))
     ring = group.system.ring
     assert ring.n not in (1, 5)
     eta = 2 * mpmath.cos(mpmath.pi / ring.n)

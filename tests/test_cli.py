@@ -112,7 +112,7 @@ def test_e8_brute_force_is_refused(capsys):
 def test_more_than_256_roots_is_refused_at_once(capsys):
     # |W| is about 1e10; the refusal must come before any enumeration
     code, _, err = _run(capsys, "count", "H4+B3+H4", "--strategy", "brute",
-                        "--budget", "100000000000", "--heavy")
+                        "--budget", "100000000000")
     assert code == 3
     assert "258 roots" in err
 
@@ -176,12 +176,6 @@ def test_brute_refusal_comes_before_any_root(capsys, no_root_systems):
     code, _, err = _run(capsys, "count", "A30", "--strategy", "brute")
     assert code == 3
     assert "930 roots" in err
-
-
-def test_heavy_group_needs_flag(capsys):
-    code, _, err = _run(capsys, "count", "E7", "--strategy", "brute")
-    assert code == 3
-    assert "--heavy" in err or "heavy" in err
 
 
 def test_budget_env_override(capsys, monkeypatch):
@@ -269,6 +263,8 @@ def test_corrupted_p_table_is_a_failed_certificate(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("verify", "theorems", "--heavy"),
     ("verify", "lemma", "--unsupported-e8-enumeration"),
+    ("count", "A1", "--heavy"),
+    ("classes", "A1", "--unsupported-e8-enumeration"),
     ("table", "all", "--cache-dir", "groups"),
 ])
 def test_enumeration_options_only_on_enumerating_commands(capsys, argv):
@@ -480,13 +476,13 @@ def test_cache_list_and_clear_pass_over_a_directory_entry(capsys, tmp_path):
 
 def test_a_cache_hit_needs_the_flags_a_fresh_group_needs(capsys, tmp_path):
     # the walk enumerates W whether the group was loaded or generated, so
-    # the heavy threshold holds for a warmed E7 too
-    code, out, _ = _run(capsys, "cache", "warm", "E7", "--heavy",
+    # the budget holds for a warmed E7 too
+    code, out, _ = _run(capsys, "cache", "warm", "E7",
                         "--cache-dir", str(tmp_path))
     assert code == 0 and "E7: 2903040 elements" in out
     code, out, err = _run(capsys, "count", "E7", "--strategy", "brute",
-                          "--cache-dir", str(tmp_path))
-    assert (code, out) == (3, "") and "--heavy" in err
+                          "--budget", "1000000", "--cache-dir", str(tmp_path))
+    assert (code, out) == (3, "") and "budget 1,000,000" in err
 
 
 def test_cache_of_another_system_is_refused(capsys, tmp_path):

@@ -13,15 +13,14 @@ import pytest
 from coxtraces import group as group_module
 from coxtraces import roots
 from coxtraces.classes import conjugacy_classes
-from coxtraces.group import (HEAVY_THRESHOLD, BudgetExceededError,
-                             CacheFormatError, Group, GroupElement,
-                             _compose, _conjugate, _invert,
-                             _descend, _table, _walker,
-                             contains_minus_identity,
-                             generate_group, load_group, longest_element,
-                             save_group, shared_group)
+from coxtraces.group import (BudgetExceededError, CacheFormatError, Group,
+                             GroupElement, _compose, _conjugate, _invert,
+                             _descend, _table, _walker, check_enumerable,
+                             contains_minus_identity, generate_group,
+                             load_group, longest_element, save_group)
 from coxtraces.linalg import CertificateError, Matrix
-from coxtraces.roots import closure, system_from_spec, system_order
+from coxtraces.roots import (closure, parse_system_spec, system_from_spec,
+                             system_order)
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -57,7 +56,7 @@ KNOWN_ORDERS = {
 
 def test_generated_orders_match_the_product_formula():
     for label, expected in KNOWN_ORDERS.items():
-        group = shared_group(system_from_spec(label))
+        group = generate_group(system_from_spec(label))
         assert group.order == expected, label
 
 
@@ -216,7 +215,7 @@ def test_a_wrong_degree_fails_the_orbit_product_certificate(monkeypatch):
 
 
 def test_composite_group_order():
-    group = shared_group(system_from_spec("A1+G2"))
+    group = generate_group(system_from_spec("A1+G2"))
     assert group.order == 24
 
 
@@ -246,31 +245,37 @@ def test_library_entry_points_refuse_wide_rings_before_building_one(
         roots.build_irreducible(roots.parse_factor("I2(129)"))
 
 
-def test_heavy_groups_need_the_flag():
-    system = system_from_spec("E7")
-    assert system_order(system.factors) > HEAVY_THRESHOLD
-    with pytest.raises(BudgetExceededError):
-        generate_group(system)
-
-
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         generate_group(system_from_spec("B3"), budget=10)
     # 258 roots do not fit the one-byte-per-root element format; the
     # refusal comes before any enumeration, whatever the budget
     with pytest.raises(BudgetExceededError, match="258 roots"):
-        generate_group(system_from_spec("H4+B3+H4"), budget=10 ** 11,
-                       heavy=True)
+        generate_group(system_from_spec("H4+B3+H4"), budget=10 ** 11)
 
 
-def test_e8_is_refused_even_with_heavy_and_budget():
+def test_e8_is_refused_even_with_a_budget():
     system = system_from_spec("E8")
     with pytest.raises(BudgetExceededError):
-        generate_group(system, budget=10 ** 10, heavy=True)
+        generate_group(system, budget=10 ** 10)
+
+
+def test_the_default_budget_admits_a8_plus_a3_without_enumerating(
+        monkeypatch):
+    # 8,709,120 elements: past a million, under the budget, which is the one
+    # size limit; the verdict reads the factor formulas alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a root model or a group was built")
+    for name in ("build_irreducible", "coordinate_ring", "closure"):
+        monkeypatch.setattr(roots, name, refuse)
+    monkeypatch.setattr(group_module, "closure", refuse)
+    factors = parse_system_spec("A8+A3")
+    assert system_order(factors) == 8_709_120
+    assert check_enumerable(factors) is None
 
 
 def test_identity_and_inverse_axioms():
-    group = shared_group(system_from_spec("B3"))
+    group = generate_group(system_from_spec("B3"))
     e = group.identity
     rng = random.Random(11)
     ids = [rng.randrange(group.order) for _ in range(40)]
@@ -283,7 +288,7 @@ def test_identity_and_inverse_axioms():
 
 
 def test_composition_associates():
-    group = shared_group(system_from_spec("A3"))
+    group = generate_group(system_from_spec("A3"))
     rng = random.Random(5)
     for _ in range(30):
         g, h, k = (GroupElement(group, rng.randrange(group.order))
@@ -292,22 +297,23 @@ def test_composition_associates():
 
 
 def test_generators_are_involutive_reflections():
-    group = shared_group(system_from_spec("H3"))
+    group = generate_group(system_from_spec("H3"))
     ring = group.system.ring
     for g in generators(group):
         assert compose(g, g) == group.identity
-        m = g.matrix()
+        m = group.span_matrix_of(g.index)
         assert m.det() == ring.integer(-1)
         assert m * m == Matrix.identity(3, ring)
 
 
 def test_matrices_form_a_representation():
-    group = shared_group(system_from_spec("B3"))
+    group = generate_group(system_from_spec("B3"))
     rng = random.Random(3)
     for _ in range(25):
         i = rng.randrange(group.order)
         j = rng.randrange(group.order)
-        left = compose(GroupElement(group, i), GroupElement(group, j)).matrix()
+        left = group.span_matrix_of(
+            compose(GroupElement(group, i), GroupElement(group, j)).index)
         right = group.span_matrix_of(i) * group.span_matrix_of(j)
         assert left == right
 
@@ -317,12 +323,13 @@ def test_generator_matrices_equal_literal_reflections():
     # replaced by e_k - (row k of the Cartan matrix)
     for label in ("B3", "H3", "I2(10)", "I2(7)", "H3+I2(8)"):
         system = system_from_spec(label)
-        group, ring = shared_group(system), system.ring
+        group, ring = generate_group(system), system.ring
         identity = Matrix.identity(system.rank, ring).rows
         for k, g in enumerate(generators(group)):
             rows = list(identity)
             rows[k] = tuple(map(ring.sub, identity[k], system.cartan[k]))
-            assert g.matrix() == Matrix(rows, ring), (label, k)
+            assert group.span_matrix_of(g.index) == Matrix(rows, ring), \
+                (label, k)
 
 
 def test_matrices_preserve_the_gram_form():
@@ -330,7 +337,7 @@ def test_matrices_preserve_the_gram_form():
     # simple roots, so every element preserves it
     for label in ("A2", "H3", "I2(5)", "I2(7)", "I2(9)+A1"):
         system = system_from_spec(label)
-        group = shared_group(system)
+        group = generate_group(system)
         form = Matrix(system.cartan, system.ring)
         for i in range(group.order):
             m = group.span_matrix_of(i)
@@ -345,7 +352,7 @@ def test_minus_identity_detection_matches_classification():
                   "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(15)+I2(12)",
                   "A1+A0"):
         system = system_from_spec(label)
-        group = shared_group(system)
+        group = generate_group(system)
         expected = all(f.contains_minus_identity for f in system.factors)
         assert contains_minus_identity(system) == expected, label
         in_group = system.trivial_dims == 0 and system.negation in group
@@ -360,13 +367,13 @@ def test_minus_identity_gone_once_a_fixed_line_exists():
 
 
 def test_determinant_tracks_word_parity():
-    group = shared_group(system_from_spec("G2"))
+    group = generate_group(system_from_spec("G2"))
     ring = group.system.ring
     # generators have det -1, so any product of k of them has det (-1)^k
     a, b = generators(group)
     g = compose(a, b)
-    assert g.matrix().det() == ring.one
-    assert compose(g, a).matrix().det() == ring.integer(-1)
+    assert group.span_matrix_of(g.index).det() == ring.one
+    assert group.span_matrix_of(compose(g, a).index).det() == ring.integer(-1)
 
 
 def _orbits_by_closure(group, walk):
@@ -410,7 +417,7 @@ def _assert_walk_is_the_oracle(group, walk, oracle):
                                    "H3+I2(7)", "D6", "A1+B5", "A1+A1+A1",
                                    "B2+I2(12)", "I2(9)+I2(12)"])
 def test_class_walk_equals_the_simple_reflection_walk(label):
-    group = shared_group(system_from_spec(label))
+    group = generate_group(system_from_spec(label))
     _assert_walk_is_the_oracle(group, group.class_orbits(),
                                _simple_reflection_walk(group))
 
@@ -428,7 +435,7 @@ def test_classes_come_in_the_full_bfs_order(label):
                                    "A1+A1+A1", "B2+I2(12)", "I2(9)+I2(12)",
                                    "A1+H4", "B2+I2(5)+A0", "A0"])
 def test_center_has_one_sign_per_factor_with_minus_one(label):
-    group = shared_group(system_from_spec(label))
+    group = generate_group(system_from_spec(label))
     center = group.center()
     with_minus_one = sum(f.contains_minus_identity for f in group.system.factors)
     assert len(center) == len(set(center)) == 2 ** with_minus_one, label
@@ -490,7 +497,7 @@ def _descend_key(system, elements):
 
 @pytest.mark.parametrize("label", ["D7", "A1+H4", "F4+I2(3)"])
 def test_pruned_bfs_key_is_the_per_member_descent_key(label):
-    group = shared_group(system_from_spec(label))
+    group = generate_group(system_from_spec(label))
     walk = group.walk_set()
     orbit_of = {i: m for m in _orbits_by_closure(group, walk) for i in m}
     for key, rep, size in group._orbits([_walker(g) for g in walk]):
@@ -515,7 +522,7 @@ def test_pruned_bfs_key_is_the_per_member_descent_key(label):
                                          ("D4", 3), ("F4", 3), ("E6", 2),
                                          ("B5+A3", 4)])
 def test_walk_set_sizes(label, size):
-    group = shared_group(system_from_spec(label))
+    group = generate_group(system_from_spec(label))
     walk = group.walk_set()
     assert len(walk) == size
     if size < group.system.rank:
@@ -529,7 +536,7 @@ def test_walk_set_sizes(label, size):
 
 
 def test_conjugate_takes_the_inverse_and_the_table():
-    group = shared_group(system_from_spec("A3"))
+    group = generate_group(system_from_spec("A3"))
     rng = random.Random(7)
     for _ in range(20):
         x, g = (GroupElement(group, rng.randrange(group.order))
@@ -723,8 +730,3 @@ def test_a_fresh_cache_file_carries_version_5(tmp_path):
     raw = (tmp_path / "b3.grp").read_bytes()
     assert raw[:4] == b"CXGC" and raw[4] == 6 and len(raw) == 40
 
-
-def test_shared_group_memoizes():
-    a = shared_group(system_from_spec("A2"))
-    b = shared_group(system_from_spec("A2"))
-    assert a is b

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coxtraces import models
 from coxtraces.cli import main
-from coxtraces.group import shared_group
+from coxtraces.group import generate_group
 from coxtraces.linalg import Matrix
 from coxtraces.models import (H3Generators, build_h3_generators,
                               h3_charpoly_table_check, h4_class_census)
@@ -188,7 +188,7 @@ def test_h4_census():
 
 
 def test_h4_census_agrees_with_the_group_engine():
-    group = shared_group(system_from_spec("H4"))
+    group = generate_group(system_from_spec("H4"))
     from coxtraces.classes import conjugacy_classes
     classes = conjugacy_classes(group)
     census = h4_class_census()

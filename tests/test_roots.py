@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 
 from ambient_oracle import ambient_roots, axiom_problems, cartan, simple_roots
-from coxtraces.group import _conjugate, _walker, generate_group, shared_group
+from coxtraces.group import _conjugate, _walker, generate_group
 from coxtraces.linalg import Matrix, coordinate_ring
 from coxtraces.roots import (Factor, SpecParseError, build_irreducible,
                              build_system, cartan_matrix, direct_sum,
@@ -346,7 +346,7 @@ def _neg(system, root):
 def test_reflection_fixes_orthogonal_and_negates_root():
     for spec, rank in (("B3", 3), ("I2(9)+A1", 3)):
         system = system_from_spec(spec)
-        group, ring = shared_group(system), system.ring
+        group, ring = generate_group(system), system.ring
         for k, (i, perm) in enumerate(zip(system.simple_root_indices,
                                           system.simple_reflections)):
             assert system.roots[perm[i]] == _neg(system, system.roots[i])
@@ -389,7 +389,7 @@ def test_highest_h3_root_reflection_has_golden_entries():
     # matrix that is rational only in the golden ratio; ring elements of
     # Z[phi] are pairs x + y*phi
     system = system_from_spec("H3")
-    group, ring = shared_group(system), system.ring
+    group, ring = generate_group(system), system.ring
     top = max(range(len(system.roots)),
               key=lambda r: sum(_field(system, system.roots[r])))
     assert any(y for _, y in system.roots[top])
